@@ -3,10 +3,13 @@
 Over N independent two-outcome measurements the state splits into all 2^N
 outcome sequences, the sequence with r aligned outcomes carrying weight
 p^r * q^(N-r). The closed-form side of every statistic here is computed in
-exact rational arithmetic by differentiating the binomial generating
-function (p+q)^N termwise with the operator p*d/dp and setting p+q = 1 at
-the end; floats appear only at the boundary. The frequency f = r/N then has
-mean exactly p and central moments falling at least as fast as 1/N.
+exact rational arithmetic by applying the operator p*d/dp to the binomial
+generating function (p+q)^N symbolically and setting p+q = 1 at the end.
+That yields Romanovsky's recurrence mu_{m+1} = pq (N m mu_{m-1} + d mu_m/dp)
+for the central moments of r, so moments up to order m cost O(m^2)
+polynomial operations whatever N is; floats appear only at the boundary.
+The frequency f = r/N then has mean exactly p and central moments falling
+at least as fast as 1/N.
 """
 
 from __future__ import annotations
@@ -18,9 +21,11 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapacityError, DomainError
+from .fields import _fmt
 
 ENUMERATION_CAP = 20
 _EXACT_COMB_LIMIT = 400  # beyond this the binomial coefficient leaves float range
+_CSV_CHUNK_ROWS = 2**16  # bounds the text held in memory at the enumeration cap
 
 
 def _check_probability(p: float) -> float:
@@ -164,51 +169,56 @@ def prob_r_given_N(r: int, N: int, p: float) -> float:
     return math.exp(log_prob)
 
 
-def _raw_moments(m_max: int, N: int, p: Fraction) -> list[Fraction]:
-    """Exact <r^j> for j = 0..m_max via the generating-function operator.
+def _central_moments(m_max: int, N: int, p: Fraction) -> list[Fraction]:
+    """Exact <(r/N - p)^m> for m = 0..m_max by Romanovsky's recurrence.
 
-    Each term C(N,k) p^k q^(N-k) of (p+q)^N is an eigenvector of p*d/dp with
-    eigenvalue k, so applying the operator j times multiplies it by k^j;
-    evaluating with q = 1 - p realizes 'set p + q = 1 at the end'.
+    Applying p*d/dp to (p+q)^N symbolically and setting q = 1 - p only at the
+    end gives the central moments of r as integer polynomials in p:
+    mu_0 = 1, mu_1 = 0 and mu_{m+1} = pq (N m mu_{m-1} + d mu_m / dp)
+    (Romanovsky, Biometrika 15, 410 (1923)). Building them takes O(m_max^2)
+    integer operations whatever N is (only the coefficients' bit lengths
+    grow, like m log N); each is then evaluated at the exact p by Horner's
+    rule and divided by N^m.
     """
-    q = 1 - p
-    totals = [Fraction(0) for _ in range(m_max + 1)]
-    p_pow = Fraction(1)
-    q_pow = q**N
-    q_is_zero = q == 0
-    for k in range(N + 1):
-        term = math.comb(N, k) * p_pow * q_pow
-        k_pow = Fraction(1)
-        for j in range(m_max + 1):
-            totals[j] += term * k_pow
-            k_pow *= k
-        p_pow *= p
-        if q_is_zero:
-            q_pow = Fraction(1) if k == N - 1 else Fraction(0)
-        else:
-            q_pow /= q
-    return totals
+    mus = [[1], [0]]
+    for m in range(1, m_max):
+        inner = [N * m * c for c in mus[m - 1]] + [0] * (m - len(mus[m - 1]))
+        for k in range(1, len(mus[m])):
+            inner[k - 1] += k * mus[m][k]
+        nxt = [0] * (m + 2)
+        for k, c in enumerate(inner):  # times pq = p - p^2
+            nxt[k + 1] += c
+            nxt[k + 2] -= c
+        mus.append(nxt)
+    values = []
+    for m, coeffs in enumerate(mus[: m_max + 1]):
+        acc = Fraction(0)
+        for c in reversed(coeffs):
+            acc = acc * p + c
+        values.append(acc / N**m)
+    return values
 
 
-def central_moment_exact(m: int, N: int, p) -> Fraction:
-    """<(r/N - p)^m> as an exact rational number.
-
-    Expands the centered power binomially over the exact raw moments; the
-    float boundary is the caller's problem. Floats passed for p are used at
-    their exact binary value.
-    """
-    if m < 0:
-        raise DomainError(f"moment order must be nonnegative, got {m}")
+def _checked_moment_args(N: int, p) -> Fraction:
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
     pf = Fraction(p)
     if not (0 <= pf <= 1):
         raise DomainError(f"p must lie in [0, 1], got {p}")
-    raw = _raw_moments(m, N, pf)
-    total = Fraction(0)
-    for j in range(m + 1):
-        total += math.comb(m, j) * raw[j] / Fraction(N) ** j * (-pf) ** (m - j)
-    return total
+    return pf
+
+
+def central_moment_exact(m: int, N: int, p) -> Fraction:
+    """<(r/N - p)^m> as an exact rational number.
+
+    Uses Romanovsky's recurrence mu_{m+1} = pq (N m mu_{m-1} + d mu_m / dp)
+    for the central moments of r, so the cost is O(m^2) polynomial operations
+    and does not depend on N. The float boundary is the caller's problem.
+    Floats passed for p are used at their exact binary value.
+    """
+    if m < 0:
+        raise DomainError(f"moment order must be nonnegative, got {m}")
+    return _central_moments(m, N, _checked_moment_args(N, p))[m]
 
 
 def central_moment(m: int, N: int, p: float) -> float:
@@ -223,8 +233,7 @@ def expected_frequency(N: int, p: float) -> float:
     """<f> = <r>/N, which the generating-function identity collapses to p."""
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
-    pf = Fraction(_check_probability(p))
-    return float(_raw_moments(1, N, pf)[1] / N)
+    return _check_probability(p)
 
 
 @dataclass(frozen=True)
@@ -246,8 +255,8 @@ def frequency_moments(N: int, p: float, m_max: int) -> FrequencyMoments:
     """Bundle central moments of orders 0..m_max."""
     if m_max < 0:
         raise DomainError(f"m_max must be nonnegative, got {m_max}")
-    moments = {m: central_moment(m, N, p) for m in range(m_max + 1)}
-    return FrequencyMoments(N, float(p), moments)
+    values = _central_moments(m_max, N, _checked_moment_args(N, p))
+    return FrequencyMoments(N, float(p), {m: float(v) for m, v in enumerate(values)})
 
 
 @dataclass(frozen=True)
@@ -287,14 +296,15 @@ def moment_scaling_report(m_max: int, N_values, p: float) -> MomentScalingReport
     if len(ns) < 2 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise DomainError("N_values must be an increasing sequence of length >= 2")
     p = _check_probability(p)
+    pf = _checked_moment_args(ns[0], p)
+    moments = {n: _central_moments(m_max, n, pf) for n in ns}
     entries = []
     constants = {}
     for m in range(2, m_max + 1):
-        base = abs(central_moment_exact(m, ns[0], p))
-        c_m = base * ns[0]
+        c_m = abs(moments[ns[0]][m]) * ns[0]
         constants[m] = float(c_m)
         for n in ns:
-            value = central_moment_exact(m, n, p)
+            value = moments[n][m]
             bound = c_m / n
             entries.append(
                 MomentScalingEntry(m, n, float(value), float(bound), abs(value) <= bound)
@@ -309,13 +319,15 @@ def sample_observer_branch(N: int, p: float, seed: int):
     give identical sequences. Returns (BranchSequence, empirical frequency).
     """
     p = _check_probability(p)
+    seq = BranchSequence(tuple((_observer_draws(N, seed) < p).tolist()))
+    return seq, seq.aligned_count / N
+
+
+def _observer_draws(N: int, seed: int) -> np.ndarray:
+    """The N uniform Philox draws behind sample_observer_branch; aligned where < p."""
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
-    rng = np.random.Generator(np.random.Philox(seed))
-    draws = rng.random(N)
-    outcomes = tuple(bool(d < p) for d in draws)
-    seq = BranchSequence(outcomes)
-    return seq, seq.aligned_count / N
+    return np.random.Generator(np.random.Philox(seed)).random(N)
 
 
 @dataclass(frozen=True)
@@ -336,23 +348,24 @@ def convergence_demo(N_values, p: float, seed: int) -> list[ConvergenceRow]:
     q = 1.0 - p
     rows = []
     for n in ns:
-        _, f = sample_observer_branch(n, p, seed)
+        f = np.count_nonzero(_observer_draws(n, seed) < p) / n
         variance = p * q / n
         rows.append(ConvergenceRow(n, f, abs(f - p), 3.0 * math.sqrt(variance), variance))
     return rows
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def branch_tree_to_csv(tree: BranchTree, path) -> None:
     """Write columns sequence_bits,r,weight with LF line endings."""
+    width = f"0{tree.N}b"  # reversed below so the first measurement (bit 0) is leftmost
     counts = tree.aligned_counts()
     with open(path, "w", newline="\n") as fh:
         fh.write("sequence_bits,r,weight\n")
-        for k in range(2**tree.N):
-            fh.write(f"{tree.sequence(k).bits},{counts[k]},{_fmt(tree.weights[k])}\n")
+        for start in range(0, counts.size, _CSV_CHUNK_ROWS):
+            stop = start + _CSV_CHUNK_ROWS
+            rows = zip(counts[start:stop].tolist(), tree.weights[start:stop].tolist())
+            fh.write(
+                "".join(f"{format(k, width)[::-1]},{r},{w!r}\n" for k, (r, w) in enumerate(rows, start))
+            )
 
 
 def convergence_to_csv(rows: list[ConvergenceRow], path) -> None:

@@ -2,9 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import binomial_central_moment
 
+from mvlab import branchstats
 from mvlab.branchstats import (
     BranchSequence,
     branch_tree_to_csv,
@@ -113,6 +116,11 @@ class TestExpectedFrequency:
     def test_zero_probability(self):
         assert expected_frequency(5, 0.0) == 0.0
 
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("N", [1, 1000, 10**6])
+    def test_exactly_p_for_large_n(self, N, p):
+        assert expected_frequency(N, p) == p
+
 
 class TestCentralMoments:
     def test_centering_exact(self):
@@ -156,6 +164,30 @@ class TestCentralMoments:
         assert central_moment_exact(m, 15, Fraction(3, 10)) == binomial_central_moment(
             m, 15, Fraction(3, 10)
         )
+
+    @pytest.mark.parametrize("p", [Fraction(3, 10), 0.3])
+    def test_exact_closed_forms_at_a_million_trials(self, p):
+        # the recurrence's cost does not grow with N, so N = 10^6 is as cheap as N = 10
+        N = 10**6
+        p = Fraction(p)
+        q = 1 - p
+        assert central_moment_exact(2, N, p) == p * q / N
+        assert central_moment_exact(3, N, p) == p * q * (q - p) / N**2
+        mu4 = N * p * q * (1 + 3 * (N - 2) * p * q)
+        assert central_moment_exact(4, N, p) == mu4 / Fraction(N) ** 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(0, 6),
+        N=st.integers(1, 50),
+        p=st.one_of(
+            st.fractions(0, 1, max_denominator=12),
+            st.floats(0.0, 1.0),
+            st.sampled_from([0.0, 0.5, 1.0]),
+        ),
+    )
+    def test_matches_pmf_summation_property(self, m, N, p):
+        assert central_moment_exact(m, N, p) == binomial_central_moment(m, N, p)
 
     def test_float_p_used_at_exact_binary_value(self):
         exact = central_moment_exact(2, 10, Fraction(0.1))
@@ -233,6 +265,18 @@ class TestConvergenceDemo:
         rows = convergence_demo([10, 100], 0.0, COMMITTED_SEED)
         assert all(row.f == 0.0 and row.abs_err == 0.0 for row in rows)
 
+    def test_frequencies_match_the_sampled_branches(self):
+        ns = [1, 10, 1000, 10000]
+        for p in (0.3, 0.5):
+            rows = convergence_demo(ns, p, COMMITTED_SEED)
+            assert [row.f for row in rows] == [
+                sample_observer_branch(n, p, COMMITTED_SEED)[1] for n in ns
+            ]
+
+    def test_rejects_empty_branch(self):
+        with pytest.raises(DomainError):
+            convergence_demo([0, 10], 0.5, COMMITTED_SEED)
+
 
 class TestCsvExports:
     def test_branch_tree_csv(self, tmp_path):
@@ -245,6 +289,16 @@ class TestCsvExports:
         bits, r, w = lines[1].split(",")
         assert bits == "000" and r == "0"
         assert float(w) == 0.75**3
+
+    def test_branch_tree_csv_matches_sequences_across_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(branchstats, "_CSV_CHUNK_ROWS", 3)
+        tree = enumerate_branch_tree(5, 0.3)
+        path = tmp_path / "tree.csv"
+        branch_tree_to_csv(tree, path)
+        expected = "sequence_bits,r,weight\n" + "".join(
+            f"{seq.bits},{seq.aligned_count},{w!r}\n" for seq, w in tree.entries()
+        )
+        assert path.read_bytes() == expected.encode()
 
     def test_convergence_csv(self, tmp_path):
         rows = convergence_demo([100], 0.5, COMMITTED_SEED)
