@@ -9,7 +9,7 @@ That yields Romanovsky's recurrence mu_{m+1} = pq (N m mu_{m-1} + d mu_m/dp)
 for the central moments of r, so moments up to order m cost O(m^2)
 polynomial operations whatever N is; floats appear only at the boundary.
 The frequency f = r/N then has mean exactly p and central moments falling
-at least as fast as 1/N.
+at least as fast as 1/N. branch_tree_to_csv streams all 2^N branches.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .fields import _fmt
+from .fields import write_csv
 
 ENUMERATION_CAP = 20
 _EXACT_COMB_LIMIT = 400  # beyond this the binomial coefficient leaves float range
-_CSV_CHUNK_ROWS = 2**16  # bounds the text held in memory at the enumeration cap
+_CSV_CHUNK_ROWS = 2**12  # rows per CSV block: bounds the text held in memory
 
 
 def _check_probability(p: float) -> float:
@@ -327,6 +327,8 @@ def _observer_draws(N: int, seed: int) -> np.ndarray:
     """The N uniform Philox draws behind sample_observer_branch; aligned where < p."""
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.Philox(seed)).random(N)
 
 
@@ -354,26 +356,34 @@ def convergence_demo(N_values, p: float, seed: int) -> list[ConvergenceRow]:
     return rows
 
 
+def _bit_strings(n: int) -> list[str]:
+    """'1'/'0' strings of the bitmasks 0 .. 2^n - 1, bit 0 leftmost, by doubling."""
+    strings = [""]
+    for _ in range(n):
+        strings = [s + "0" for s in strings] + [s + "1" for s in strings]
+    return strings
+
+
 def branch_tree_to_csv(tree: BranchTree, path) -> None:
-    """Write columns sequence_bits,r,weight with LF line endings."""
-    width = f"0{tree.N}b"  # reversed below so the first measurement (bit 0) is leftmost
+    """Write columns sequence_bits,r,weight with LF line endings.
+
+    Blocks hold 2^low rows, the largest power of two within _CSV_CHUNK_ROWS,
+    so each block's bit strings are one shared low-bit table plus a suffix.
+    """
+    low = min(tree.N, _CSV_CHUNK_ROWS.bit_length() - 1)
+    low_bits, size = _bit_strings(low), 2**low
     counts = tree.aligned_counts()
-    with open(path, "w", newline="\n") as fh:
-        fh.write("sequence_bits,r,weight\n")
-        for start in range(0, counts.size, _CSV_CHUNK_ROWS):
-            stop = start + _CSV_CHUNK_ROWS
-            rows = zip(counts[start:stop].tolist(), tree.weights[start:stop].tolist())
-            fh.write(
-                "".join(f"{format(k, width)[::-1]},{r},{w!r}\n" for k, (r, w) in enumerate(rows, start))
-            )
+    blocks = (
+        ([b + suffix for b in low_bits], counts[k : k + size], tree.weights[k : k + size])
+        for k, suffix in zip(range(0, counts.size, size), _bit_strings(tree.N - low))
+    )
+    write_csv(path, "sequence_bits,r,weight", blocks)
 
 
 def convergence_to_csv(rows: list[ConvergenceRow], path) -> None:
     """Write columns N,f,abs_err,envelope,variance with LF line endings."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("N,f,abs_err,envelope,variance\n")
-        for row in rows:
-            fh.write(
-                f"{row.N},{_fmt(row.f)},{_fmt(row.abs_err)},"
-                f"{_fmt(row.envelope)},{_fmt(row.variance)}\n"
-            )
+    columns = tuple(
+        np.array([getattr(row, name) for row in rows])
+        for name in ("N", "f", "abs_err", "envelope", "variance")
+    )
+    write_csv(path, "N,f,abs_err,envelope,variance", [columns])

@@ -5,6 +5,8 @@ resolved configuration, library versions, wall time, and a sha256 checksum
 per output file. All randomness flows through the single `seed` parameter;
 reruns of an identical config reproduce every output byte for byte (the
 manifest's wall-time field is the one legitimately volatile value).
+Each pipeline computes all of its results before any file is opened; its
+writers only format them, through the shared write_csv.
 
 Exit codes: 0 success, 2 config validation failure, 3 numerical guard
 (stability, capacity), 4 I/O failure.
@@ -46,6 +48,7 @@ from .fields import (
     free_potential,
     harmonic_potential,
     make_gaussian_packet,
+    write_csv,
 )
 from .madelung import decompose, polar_to_csv, quantum_potential, quantum_potential_to_csv
 from .spins import (
@@ -211,15 +214,6 @@ def _run_decompose(p):
     }
 
 
-def _transport_to_csv(report, path):
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,fraction,expected,deviation\n")
-        for t, frac, dev in zip(report.times, report.fractions, report.deviations):
-            fh.write(
-                f"{float(t)!r},{float(frac)!r},{float(report.expected)!r},{float(dev)!r}\n"
-            )
-
-
 def _run_universes(p):
     params = PhysicalParams(p["hbar"], p["mass"])
     grid = _build_grid(p)
@@ -233,9 +227,11 @@ def _run_universes(p):
     report = density_transport_check(
         record, ensemble, (p["interval_a"], p["interval_b"]), params, p["node_epsilon"]
     )
+    expected = np.full(report.times.size, report.expected)
+    transport = (report.times, report.fractions, expected, report.deviations)
     return {
         "trajectories.csv": lambda path: trajectories_to_csv(ensemble, path),
-        "transport.csv": lambda path: _transport_to_csv(report, path),
+        "transport.csv": lambda path: write_csv(path, "t,fraction,expected,deviation", [transport]),
     }
 
 
@@ -300,13 +296,11 @@ def _branch_correlation(theta: float) -> float:
 
 def _run_bell(p):
     thetas = np.linspace(0.0, math.pi, p["n_theta"])
-
-    def write_correlation(path):
-        with open(path, "w", newline="\n") as fh:
-            fh.write("theta,closed_form,branch_sum\n")
-            for theta in thetas:
-                t = float(theta)
-                fh.write(f"{t!r},{correlation(t)!r},{_branch_correlation(t)!r}\n")
+    columns = (
+        thetas,
+        np.array([correlation(t) for t in thetas.tolist()]),
+        np.array([_branch_correlation(t) for t in thetas.tolist()]),
+    )
 
     a, ap, b, bp = p["angles"]
     s = chsh(a, ap, b, bp)
@@ -317,7 +311,7 @@ def _run_bell(p):
         "classical_max": classical_chsh_bound(),
     }
     return {
-        "correlation.csv": write_correlation,
+        "correlation.csv": lambda path: write_csv(path, "theta,closed_form,branch_sum", [columns]),
         "bell.json": _json_writer(payload),
     }
 
@@ -389,7 +383,7 @@ EXPERIMENTS = {
                   check=lambda v: all(n >= 1 for n in v) and all(b > a for a, b in zip(v, v[1:])),
                   note="increasing integers >= 1"),
             Param("p", "float", check=lambda v: 0 <= v <= 1, note="0 <= p <= 1"),
-            Param("seed", "int"),
+            Param("seed", "int", check=lambda v: v >= 0, note="seed >= 0"),
         ],
         _run_convergence,
     ),

@@ -21,9 +21,9 @@ from .fields import (
     PhysicalParams,
     PotentialField,
     SpatialGrid,
-    _fmt,
     gradient,
     norm_squared,
+    write_csv,
 )
 from .universes import TrajectoryEnsemble
 
@@ -268,27 +268,19 @@ def classical_ensemble_evolve(
 
 def evolution_to_csv(record: EvolutionRecord, path) -> None:
     """Write long-format columns t,x,re,im,R2 with LF line endings."""
-    x = record.grid.points
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,x,re,im,R2\n")
-        for t, wf in zip(record.times, record.snapshots):
-            amps = wf.amplitudes
-            dens = np.abs(amps) ** 2
-            for j in range(record.grid.n_points):
-                fh.write(
-                    f"{_fmt(t)},{_fmt(x[j])},{_fmt(amps[j].real)},"
-                    f"{_fmt(amps[j].imag)},{_fmt(dens[j])}\n"
-                )
+    n = record.grid.n_points
+    x = list(map(repr, record.grid.points.tolist()))
+    write_csv(path, "t,x,re,im,R2", (
+        ([repr(t)] * n, x, wf.amplitudes.real, wf.amplitudes.imag, np.abs(wf.amplitudes) ** 2)
+        for t, wf in zip(record.times.tolist(), record.snapshots)
+    ))
 
 
 def classical_to_csv(record: ClassicalEnsembleRecord, path) -> None:
     """Write columns t,particle_id,x,v with LF line endings."""
     ens = record.ensemble
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,particle_id,x,v\n")
-        for t_idx, t in enumerate(ens.times):
-            for m in range(ens.n_trajectories):
-                fh.write(
-                    f"{_fmt(t)},{m},{_fmt(ens.positions[m, t_idx])},"
-                    f"{_fmt(record.velocities[m, t_idx])}\n"
-                )
+    ids = list(map(str, range(ens.n_trajectories)))
+    write_csv(path, "t,particle_id,x,v", (
+        ([repr(t)] * len(ids), ids, ens.positions[:, s], record.velocities[:, s])
+        for s, t in enumerate(ens.times.tolist())
+    ))

@@ -8,7 +8,9 @@ Conventions used throughout the package:
 * all integrals are discrete Riemann sums with weight dx, so
   norm_squared(psi) = sum |psi_j|^2 * dx;
 * spatial derivatives are second-order centered differences, with wraparound
-  on periodic grids and one-sided second-order stencils at dirichlet ends.
+  on periodic grids and one-sided second-order stencils at dirichlet ends;
+* every CSV file of the package is written by write_csv, which prints
+  floats as repr of the float64, so they read back exactly.
 """
 
 from __future__ import annotations
@@ -200,15 +202,33 @@ def laplacian(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     return out
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _csv_text(column):
+    if isinstance(column, np.ndarray):
+        if column.dtype == bool:
+            column = column.astype(np.int8)
+        return map(repr, column.tolist())
+    return column
+
+
+def write_csv(path, header: str, blocks) -> None:
+    """Write a header row, then the rows of each block, with LF line endings.
+
+    A block is a tuple of equal-length columns, written as one string per
+    block so the text held in memory is bounded by the largest block. A
+    numpy column is numeric: each value is written as ``repr`` of its Python
+    value, so a float64 prints in its shortest round-trip form (``nan``,
+    ``inf`` and ``-0.0`` included), an integer as its digits and a bool as
+    0 or 1. Any other column is a sequence of strings written as they are.
+    """
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for block in blocks:
+            rows = zip(*map(_csv_text, block), strict=True)
+            fh.write("".join([",".join(row) + "\n" for row in rows]))
 
 
 def wavefunction_to_csv(wf: GridWavefunction, path) -> None:
     """Write columns index,x,re,im with LF line endings."""
-    x = wf.grid.points
-    with open(path, "w", newline="\n") as fh:
-        fh.write("index,x,re,im\n")
-        for j in range(wf.grid.n_points):
-            a = wf.amplitudes[j]
-            fh.write(f"{j},{_fmt(x[j])},{_fmt(a.real)},{_fmt(a.imag)}\n")
+    amps = wf.amplitudes
+    columns = (np.arange(wf.grid.n_points), wf.grid.points, amps.real, amps.imag)
+    write_csv(path, "index,x,re,im", [columns])

@@ -20,9 +20,9 @@ from .fields import (
     PhysicalParams,
     PotentialField,
     SpatialGrid,
-    _fmt,
     gradient,
     laplacian,
+    write_csv,
 )
 
 if TYPE_CHECKING:
@@ -125,17 +125,10 @@ def decompose(
     angle = np.angle(wf.amplitudes)
     phi = params.hbar * angle  # masked points keep their principal value
 
-    clear = ~mask
-    j = 0
-    n = wf.grid.n_points
-    while j < n:
-        if not clear[j]:
-            j += 1
-            continue
-        start = j
-        while j < n and clear[j]:
-            j += 1
-        seg = slice(start, j)
+    # node-free segments are the runs of ~mask, read off the mask's edges
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], ~mask, [False]))))
+    for start, stop in zip(edges[0::2].tolist(), edges[1::2].tolist()):
+        seg = slice(start, stop)
         theta = np.unwrap(angle[seg])
         anchor = int(np.argmax(R[seg]))
         # unwrap preserves values mod 2*pi, so this shift count is an integer
@@ -293,20 +286,9 @@ def hamilton_jacobi_residual(
 
 def polar_to_csv(polar: PolarField, path) -> None:
     """Write columns x,R,phi,mask with LF line endings."""
-    x = polar.grid.points
-    with open(path, "w", newline="\n") as fh:
-        fh.write("x,R,phi,mask\n")
-        for j in range(polar.grid.n_points):
-            fh.write(
-                f"{_fmt(x[j])},{_fmt(polar.R[j])},{_fmt(polar.phi[j])},"
-                f"{int(polar.node_mask[j])}\n"
-            )
+    write_csv(path, "x,R,phi,mask", [(polar.grid.points, polar.R, polar.phi, polar.node_mask)])
 
 
 def quantum_potential_to_csv(field: QuantumPotentialField, path) -> None:
     """Write columns x,U with LF line endings (NaN where masked)."""
-    x = field.grid.points
-    with open(path, "w", newline="\n") as fh:
-        fh.write("x,U\n")
-        for j in range(field.grid.n_points):
-            fh.write(f"{_fmt(x[j])},{_fmt(field.U_quantum[j])}\n")
+    write_csv(path, "x,U", [(field.grid.points, field.U_quantum)])

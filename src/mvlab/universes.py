@@ -4,6 +4,7 @@ R^2 is treated as a conserved density of trajectories ("universes") carried
 by the velocity v = grad(phi)/m. In one dimension a caustic is exactly a
 change of trajectory ordering, so sorting gives an exact crossing detector;
 the quantum flow never reorders, the classical converging flow does.
+trajectories_to_csv streams an ensemble one recorded time at a time.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DomainError
-from .fields import PhysicalParams, SpatialGrid, _fmt
+from .fields import PhysicalParams, SpatialGrid, write_csv
 from .madelung import (
     DEFAULT_NODE_EPSILON,
     MASK_DILATION,
@@ -288,14 +289,18 @@ def density_transport_check(
 
 
 def trajectories_to_csv(ensemble: TrajectoryEnsemble, path) -> None:
-    """Write columns t,trajectory_id,x,kind,flags with LF line endings."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,trajectory_id,x,kind,flags\n")
-        for t_idx, t in enumerate(ensemble.times):
-            for m in range(ensemble.n_trajectories):
-                flag = ""
-                if np.isfinite(ensemble.frozen_at[m]) and t >= ensemble.frozen_at[m]:
-                    flag = "frozen"
-                elif np.isfinite(ensemble.escaped_at[m]) and t >= ensemble.escaped_at[m]:
-                    flag = "escaped"
-                fh.write(f"{_fmt(t)},{m},{_fmt(ensemble.positions[m, t_idx])},{ensemble.kind},{flag}\n")
+    """Write columns t,trajectory_id,x,kind,flags with LF line endings.
+
+    flags is "frozen" from frozen_at on, else "escaped" from escaped_at on,
+    else empty (a NaN flag time never fires).
+    """
+    m = ensemble.n_trajectories
+    ids, kind = list(map(str, range(m))), [ensemble.kind] * m
+
+    def blocks():
+        for s, t in enumerate(ensemble.times.tolist()):
+            escaped = np.where(ensemble.escaped_at <= t, "escaped", "")
+            flags = np.where(ensemble.frozen_at <= t, "frozen", escaped).tolist()
+            yield [repr(t)] * m, ids, ensemble.positions[:, s], kind, flags
+
+    write_csv(path, "t,trajectory_id,x,kind,flags", blocks())

@@ -277,6 +277,12 @@ class TestConvergenceDemo:
         with pytest.raises(DomainError):
             convergence_demo([0, 10], 0.5, COMMITTED_SEED)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(DomainError):
+            convergence_demo([10], 0.5, -1)
+        with pytest.raises(DomainError):
+            sample_observer_branch(10, 0.5, -1)
+
 
 class TestCsvExports:
     def test_branch_tree_csv(self, tmp_path):
@@ -297,6 +303,18 @@ class TestCsvExports:
         branch_tree_to_csv(tree, path)
         expected = "sequence_bits,r,weight\n" + "".join(
             f"{seq.bits},{seq.aligned_count},{w!r}\n" for seq, w in tree.entries()
+        )
+        assert path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("N", [1, 5, 13, 17])
+    def test_branch_tree_csv_matches_format_reference(self, tmp_path, N):
+        # N = 13 and N = 17 span several blocks at the default 2^12 rows
+        tree = enumerate_branch_tree(N, 0.3)
+        path = tmp_path / "tree.csv"
+        branch_tree_to_csv(tree, path)
+        rows = zip(tree.aligned_counts().tolist(), tree.weights.tolist())
+        expected = "sequence_bits,r,weight\n" + "".join(
+            f"{format(k, f'0{N}b')[::-1]},{r},{w!r}\n" for k, (r, w) in enumerate(rows)
         )
         assert path.read_bytes() == expected.encode()
 

@@ -66,6 +66,15 @@ class TestValidation:
 
 
 class TestGuards:
+    @pytest.mark.parametrize("override", [("--seed", "-1"), ("--set", "seed=-1")])
+    def test_negative_seed_rejected_before_any_write(self, tmp_path, capsys, override):
+        out = tmp_path / "out"
+        status = run_cli("convergence", "--config", str(CONFIGS / "convergence.json"),
+                         *override, "--out-dir", str(out))
+        assert status == EXIT_CONFIG
+        assert "'seed'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_capacity_guard_no_partial_output(self, tmp_path):
         config = tmp_path / "c.json"
         config.write_text(json.dumps({"N": 25, "p": 0.5}))

@@ -13,6 +13,7 @@ from mvlab.fields import (
     norm_squared,
     normalize,
     wavefunction_to_csv,
+    write_csv,
 )
 from mvlab.madelung import decompose
 
@@ -173,3 +174,38 @@ class TestCsv:
         first = lines[1].split(",")
         assert first[0] == "0"
         assert float(first[1]) == g.points[0]
+
+
+class TestWriteCsv:
+    FLOATS = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, 0.1, -2.5])
+    INTS = np.arange(8) - 3
+    BOOLS = np.array([True, False, True, True, False, False, True, False])
+    LABELS = [f"s{k}" for k in range(8)]
+
+    def test_blocks_joined_by_hand(self, tmp_path):
+        columns = (self.FLOATS, self.INTS, self.BOOLS, self.LABELS)
+        blocks = (
+            tuple(c[lo:hi] for c in columns) for lo, hi in ((0, 1), (1, 1), (1, 5), (5, 8))
+        )  # a one-row block, an empty block, then two more
+        path = tmp_path / "out.csv"
+        write_csv(path, "f,i,b,s", blocks)
+        expected = "f,i,b,s\n" + "".join(
+            f"{repr(float(f))},{str(int(i))},{str(int(b))},{s}\n" for f, i, b, s in zip(*columns)
+        )
+        assert path.read_bytes() == expected.encode()
+
+    def test_floats_read_back_exactly(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(path, "f", [(self.FLOATS,)])
+        back = np.array([float(v) for v in path.read_text().split("\n")[1:-1]])
+        assert np.array_equal(back, self.FLOATS, equal_nan=True)
+        assert np.array_equal(np.signbit(back), np.signbit(self.FLOATS))
+
+    def test_no_blocks_writes_the_header(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(path, "a,b", [])
+        assert path.read_bytes() == b"a,b\n"
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "out.csv", "a,b", [(self.FLOATS, self.INTS[:3])])

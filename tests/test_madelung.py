@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from corpus import corpus
 from oracles import discrete_harmonic_ground_state, gaussian_quantum_potential
@@ -28,6 +30,63 @@ from mvlab.madelung import (
 )
 
 PARAMS = PhysicalParams()
+
+
+def loop_decompose(wf, params, node_epsilon):
+    """decompose with its original per-point segment search: the reference (R, phi, mask)."""
+    R = np.abs(wf.amplitudes)
+    mask = R < node_epsilon * float(R.max())
+    angle = np.angle(wf.amplitudes)
+    phi = params.hbar * angle
+    clear = ~mask
+    j = 0
+    n = wf.grid.n_points
+    while j < n:
+        if not clear[j]:
+            j += 1
+            continue
+        start = j
+        while j < n and clear[j]:
+            j += 1
+        seg = slice(start, j)
+        theta = np.unwrap(angle[seg])
+        anchor = int(np.argmax(R[seg]))
+        shift = round((theta[anchor] - angle[seg][anchor]) / (2.0 * np.pi))
+        phi[seg] = params.hbar * (theta - 2.0 * np.pi * shift)
+    return R, phi, mask
+
+
+def assert_matches_loop(wf, params, node_epsilon=1e-6):
+    polar = decompose(wf, params, node_epsilon)
+    R, phi, mask = loop_decompose(wf, params, node_epsilon)
+    assert np.array_equal(polar.R, R)
+    assert np.array_equal(polar.phi, phi)
+    assert np.array_equal(polar.node_mask, mask)
+
+
+@st.composite
+def amplitudes_with_zero_runs(draw):
+    """Random amplitudes with exact zeros forced at the start, the end, the middle, or all but one point."""
+    n = draw(st.integers(8, 64))
+    part = st.floats(-1.0, 1.0, allow_nan=False)
+    amps = np.array(draw(st.lists(part, min_size=n, max_size=n))) + 1j * np.array(
+        draw(st.lists(part, min_size=n, max_size=n))
+    )
+    where = draw(st.sampled_from(["start", "end", "middle", "all_but_one"]))
+    if where == "all_but_one":
+        keep = draw(st.integers(0, n - 1))
+        amps[np.arange(n) != keep] = 0.0
+    else:
+        length = draw(st.integers(1, n - 2))
+        if where == "start":
+            start = 0
+        elif where == "end":
+            start = n - length
+        else:
+            start = draw(st.integers(1, n - length - 1))
+        amps[start : start + length] = 0.0
+    assume(np.abs(amps).max() > 0.0)
+    return amps
 
 
 def odd_state(grid):
@@ -77,6 +136,25 @@ class TestDecompose:
         wf = make_gaussian_packet(g, 0.0, 3.0, 0.0, PARAMS)
         with pytest.raises(DomainError):
             decompose(wf, PARAMS, node_epsilon=0.5)
+
+
+class TestSegmentSearch:
+    """decompose's vectorised segment search against the per-point loop it replaced."""
+
+    @pytest.mark.parametrize("n", [1024, 4096])
+    @pytest.mark.parametrize("name", sorted(corpus()))
+    def test_corpus_bitwise_equal_to_loop(self, name, n):
+        assert_matches_loop(corpus(SpatialGrid(-20.0, 20.0, n))[name], PARAMS)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        amps=amplitudes_with_zero_runs(),
+        hbar=st.floats(0.25, 4.0),
+        node_epsilon=st.sampled_from([1e-6, 1e-3, 0.1]),
+    )
+    def test_random_zero_runs_bitwise_equal_to_loop(self, amps, hbar, node_epsilon):
+        wf = GridWavefunction(SpatialGrid(-1.0, 1.0, amps.size), amps)
+        assert_matches_loop(wf, PhysicalParams(hbar=hbar), node_epsilon)
 
 
 class TestRecompose:

@@ -24,6 +24,7 @@ from mvlab.universes import (
     density_transport_check,
     integrate_universes,
     stratified_positions,
+    trajectories_to_csv,
     velocity_field,
 )
 
@@ -35,6 +36,21 @@ def free_gaussian_record(n=2048, dt=1e-3, n_steps=2000, stride=4, sigma=1.0):
     wf0 = make_gaussian_packet(g, 0.0, sigma, 0.0, PARAMS)
     rec = evolve_schrodinger(wf0, free_potential(g), PARAMS, dt, n_steps, snapshot_stride=stride)
     return rec, g
+
+
+def loop_trajectories_csv(ensemble):
+    """trajectories_to_csv's original per-row writer: the byte reference."""
+    lines = ["t,trajectory_id,x,kind,flags\n"]
+    for t_idx, t in enumerate(ensemble.times):
+        for m in range(ensemble.n_trajectories):
+            flag = ""
+            if np.isfinite(ensemble.frozen_at[m]) and t >= ensemble.frozen_at[m]:
+                flag = "frozen"
+            elif np.isfinite(ensemble.escaped_at[m]) and t >= ensemble.escaped_at[m]:
+                flag = "escaped"
+            x = ensemble.positions[m, t_idx]
+            lines.append(f"{float(t)!r},{m},{float(x)!r},{ensemble.kind},{flag}\n")
+    return "".join(lines).encode()
 
 
 class TestVelocityField:
@@ -227,3 +243,27 @@ class TestDensityTransport:
         ens = TrajectoryEnsemble(rec.times, np.zeros((3, len(rec.times))), "classical")
         with pytest.raises(DomainError):
             density_transport_check(rec, ens, (-1.0, 1.0), PARAMS)
+
+
+class TestTrajectoriesCsv:
+    def test_frozen_flags_match_row_loop(self, tmp_path):
+        times = np.linspace(0.0, 1.0, 11)
+        positions = np.cumsum(np.full((6, 11), 0.25), axis=0) + np.sin(times)
+        # never, mid-run (exactly on a recorded time and between two), last time, first, after the end
+        frozen_at = [np.nan, times[3], 0.35, times[-1], 0.0, 2.0]
+        ens = TrajectoryEnsemble(times, positions, "bohmian", frozen_at=frozen_at,
+                                 escaped_at=[0.5, np.nan, 0.1, np.nan, np.nan, 0.7])
+        path = tmp_path / "traj.csv"
+        trajectories_to_csv(ens, path)
+        text = path.read_bytes()
+        assert b"frozen" in text and b"escaped" in text
+        assert text == loop_trajectories_csv(ens)
+
+    def test_escaped_flags_match_row_loop(self, tmp_path):
+        g = SpatialGrid(-10.0, 10.0, 256, "dirichlet")
+        pos = np.linspace(-9.0, 9.0, 7)
+        rec = classical_ensemble_evolve(pos, -3.0 * pos, free_potential(g), PARAMS, 0.05, 200)
+        assert np.isfinite(rec.ensemble.escaped_at).any()
+        path = tmp_path / "traj.csv"
+        trajectories_to_csv(rec.ensemble, path)
+        assert path.read_bytes() == loop_trajectories_csv(rec.ensemble)
