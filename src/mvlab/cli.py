@@ -50,7 +50,9 @@ from .fields import (
     make_gaussian_packet,
     write_csv,
 )
-from .madelung import decompose, polar_to_csv, quantum_potential, quantum_potential_to_csv
+from .madelung import (
+    decompose, polar_to_csv, quantum_potential, quantum_potential_to_csv, record_polars
+)
 from .spins import (
     Direction,
     apply_measurement,
@@ -221,7 +223,7 @@ def _run_universes(p):
     record = evolve_schrodinger(
         wf0, free_potential(grid), params, p["dt"], p["n_steps"], p["snapshot_stride"]
     )
-    polar0 = decompose(record.snapshots[0], params, p["node_epsilon"])
+    polar0 = record_polars(record, params, p["node_epsilon"])[0]
     starts = stratified_positions(polar0, p["n_trajectories"])
     ensemble = integrate_universes(record, starts, params, p["node_epsilon"])
     report = density_transport_check(
@@ -391,7 +393,12 @@ EXPERIMENTS = {
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """Hex digest of a file, read in 1 MiB chunks so no output is held whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _versions() -> dict:

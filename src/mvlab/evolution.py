@@ -10,7 +10,7 @@ be produced and timed accurately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -22,6 +22,7 @@ from .fields import (
     PotentialField,
     SpatialGrid,
     gradient,
+    interpolator,
     norm_squared,
     write_csv,
 )
@@ -46,6 +47,7 @@ class EvolutionRecord:
     snapshot_stride: int
     times: np.ndarray
     snapshots: tuple[GridWavefunction, ...]
+    _polars: tuple | None = field(default=None, init=False, repr=False)  # see record_polars
 
     def __post_init__(self):
         times = np.array(self.times, dtype=np.float64)
@@ -217,21 +219,10 @@ def classical_ensemble_evolve(
     if n_steps < 0:
         raise DomainError(f"n_steps must be nonnegative, got {n_steps}")
 
-    force = -gradient(V.values, grid)
-    xg = grid.points
-    periodic = grid.boundary == "periodic"
-    if periodic:
-        xs = np.append(xg, grid.x_max)
-        fs = np.append(force, force[0])
+    force = interpolator(grid, -gradient(V.values, grid))
 
-        def accel(pos):
-            wrapped = grid.x_min + np.mod(pos - grid.x_min, grid.length)
-            return np.interp(wrapped, xs, fs) / params.mass
-
-    else:
-
-        def accel(pos):
-            return np.interp(pos, xg, force) / params.mass
+    def accel(pos):
+        return force(pos) / params.mass
 
     m_traj = x.size
     positions = np.empty((m_traj, n_steps + 1))
@@ -250,7 +241,7 @@ def classical_ensemble_evolve(
         v_new = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         x = np.where(escaped, x, x_new)
         v = np.where(escaped, v, v_new)
-        if not periodic:
+        if grid.boundary != "periodic":
             out = ~escaped & ((x < grid.x_min) | (x > grid.x_max))
             if np.any(out):
                 # hold at the boundary it crossed; recorded positions stay finite

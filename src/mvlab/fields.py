@@ -202,6 +202,15 @@ def laplacian(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     return out
 
 
+def interpolator(grid: SpatialGrid, values: np.ndarray):
+    """Linear interpolant of grid samples in position; periodic grids wrap the position."""
+    x = grid.points
+    if grid.boundary == "periodic":
+        xs, vs = np.append(x, grid.x_max), np.append(values, values[0])
+        return lambda pos: np.interp(grid.x_min + np.mod(pos - grid.x_min, grid.length), xs, vs)
+    return lambda pos: np.interp(pos, x, values)
+
+
 def _csv_text(column):
     if isinstance(column, np.ndarray):
         if column.dtype == bool:

@@ -5,6 +5,8 @@ continuous unwrapped representative gives the same gradient, which is all the
 downstream physics uses. Unwrapping never crosses a node: each node-free
 segment unwraps independently, anchored at its own modulus maximum where phi
 takes its principal value in (-pi*hbar, pi*hbar].
+
+A record is decomposed once, by record_polars; every consumer reads that stack.
 """
 
 from __future__ import annotations
@@ -181,8 +183,19 @@ def universe_density(polar: PolarField) -> np.ndarray:
     return polar.R**2
 
 
-def _record_polars(record, params, node_epsilon):
-    return [decompose(wf, params, node_epsilon) for wf in record.snapshots]
+def record_polars(
+    record: "EvolutionRecord", params: PhysicalParams, node_epsilon: float = DEFAULT_NODE_EPSILON
+) -> tuple[PolarField, ...]:
+    """The record's snapshots decomposed, by one decompose call per snapshot.
+
+    The stack is held on the record keyed by (hbar, node_epsilon); a call
+    with another key rebuilds it, so a record holds at most one stack.
+    """
+    key = (params.hbar, node_epsilon)
+    if record._polars is None or record._polars[0] != key:
+        polars = tuple(decompose(wf, params, node_epsilon) for wf in record.snapshots)
+        object.__setattr__(record, "_polars", (key, polars))
+    return record._polars[1]
 
 
 def _phase_rate(phi_prev, phi_mid, phi_next, hbar, dt):
@@ -199,15 +212,14 @@ def _phase_rate(phi_prev, phi_mid, phi_next, hbar, dt):
 def _residual_core(record, params, node_epsilon, pointwise):
     if len(record.snapshots) < 3:
         raise DomainError("residuals need at least 3 snapshots for centered time differences")
-    polars = _record_polars(record, params, node_epsilon)
+    polars = record_polars(record, params, node_epsilon)
     grid = record.snapshots[0].grid
     periodic = grid.boundary == "periodic"
     times = record.times
     dt = (times[-1] - times[0]) / (len(times) - 1)
 
     rows, masks = [], []
-    for i in range(1, len(polars) - 1):
-        prev_p, mid, next_p = polars[i - 1], polars[i], polars[i + 1]
+    for prev_p, mid, next_p in zip(polars, polars[1:], polars[2:]):
         residual, rate = pointwise(prev_p, mid, next_p, dt)
         mask = dilate_mask(
             prev_p.node_mask | mid.node_mask | next_p.node_mask, MASK_DILATION, periodic

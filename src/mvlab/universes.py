@@ -4,6 +4,8 @@ R^2 is treated as a conserved density of trajectories ("universes") carried
 by the velocity v = grad(phi)/m. In one dimension a caustic is exactly a
 change of trajectory ordering, so sorting gives an exact crossing detector;
 the quantum flow never reorders, the classical converging flow does.
+integrate_universes and density_transport_check read madelung.record_polars,
+so each snapshot of a record is decomposed once.
 trajectories_to_csv streams an ensemble one recorded time at a time.
 """
 
@@ -15,14 +17,15 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DomainError
-from .fields import PhysicalParams, SpatialGrid, write_csv
+from .fields import PhysicalParams, SpatialGrid, interpolator, write_csv
 from .madelung import (
     DEFAULT_NODE_EPSILON,
     MASK_DILATION,
     PolarField,
-    decompose,
+    decompose,  # noqa: F401  unused here; bench/child.py rebinds it by name to count calls
     dilate_mask,
     phase_gradient,
+    record_polars,
 )
 
 if TYPE_CHECKING:
@@ -78,24 +81,10 @@ class TrajectoryEnsemble:
 
 
 def velocity_field(polar: PolarField, params: PhysicalParams) -> np.ndarray:
-    """v_j = (grad phi)_j / m, NaN on node neighborhoods."""
+    """v_j = (grad phi)_j / m, NaN within MASK_DILATION cells of a node (the freeze zone)."""
     v = phase_gradient(polar.phi, polar.grid, params.hbar) / params.mass
-    bad = dilate_mask(polar.node_mask, 1, polar.grid.boundary == "periodic")
+    bad = dilate_mask(polar.node_mask, MASK_DILATION, polar.grid.boundary == "periodic")
     return np.where(bad, np.nan, v)
-
-
-def _interp_factory(grid: SpatialGrid, values: np.ndarray):
-    x = grid.points
-    if grid.boundary == "periodic":
-        xs = np.append(x, grid.x_max)
-        vs = np.append(values, values[0])
-
-        def interp(pos):
-            wrapped = grid.x_min + np.mod(pos - grid.x_min, grid.length)
-            return np.interp(wrapped, xs, vs)
-
-        return interp
-    return lambda pos: np.interp(pos, x, values)
 
 
 def _zone_lookup(grid: SpatialGrid, zone: np.ndarray):
@@ -136,17 +125,15 @@ def integrate_universes(
     if np.any(x < grid.x_min) or np.any(x > grid.x_max):
         raise DomainError("initial positions must lie within the grid")
 
-    periodic = grid.boundary == "periodic"
-    velocities, zones = [], []
-    for wf in record.snapshots:
-        polar = decompose(wf, params, node_epsilon)
-        zone = dilate_mask(polar.node_mask, MASK_DILATION, periodic)
-        v = phase_gradient(polar.phi, grid, params.hbar) / params.mass
-        velocities.append(np.where(zone, 0.0, v))
-        zones.append(zone)
+    polars = record_polars(record, params, node_epsilon)
 
-    start_zone = _zone_lookup(grid, zones[0])
-    if np.any(start_zone(x)):
+    def flow(polar):  # velocity interpolant, zero on the node zone, and the zone
+        v = velocity_field(polar, params)
+        zone = np.isnan(v)
+        return interpolator(grid, np.where(zone, 0.0, v)), zone
+
+    interp1, zone1 = flow(polars[0])
+    if np.any(_zone_lookup(grid, zone1)(x)):
         raise DomainError("initial positions must avoid node neighborhoods of the first snapshot")
 
     times = record.times
@@ -158,9 +145,9 @@ def integrate_universes(
 
     for s in range(n_snap - 1):
         t0, t1 = times[s], times[s + 1]
-        interp0 = _interp_factory(grid, velocities[s])
-        interp1 = _interp_factory(grid, velocities[s + 1])
-        in_zone = _zone_lookup(grid, zones[s] | zones[s + 1])
+        interp0, zone0 = interp1, zone1
+        interp1, zone1 = flow(polars[s + 1])
+        in_zone = _zone_lookup(grid, zone0 | zone1)
         h = (t1 - t0) / substeps
 
         def vel(pos, t):
@@ -201,16 +188,11 @@ def crossing_count(ensemble: TrajectoryEnsemble) -> int:
     return total
 
 
-def _masked_density(polar: PolarField) -> np.ndarray:
-    zone = dilate_mask(polar.node_mask, MASK_DILATION, polar.grid.boundary == "periodic")
-    return np.where(zone, 0.0, polar.R**2)
-
-
 def _density_cdf(polar: PolarField):
     """Piecewise-linear CDF of the node-excluded density over cell edges."""
     grid = polar.grid
-    density = _masked_density(polar)
-    masses = density * grid.dx
+    zone = dilate_mask(polar.node_mask, MASK_DILATION, grid.boundary == "periodic")
+    masses = np.where(zone, 0.0, polar.R**2) * grid.dx
     total = masses.sum()
     if total <= 0.0:
         raise DomainError("density is zero everywhere off nodes")
@@ -272,13 +254,10 @@ def density_transport_check(
     if not (grid.x_min <= a < b <= grid.x_max):
         raise DomainError(f"interval ({a}, {b}) must lie inside the grid and satisfy a < b")
 
-    polar0 = decompose(record.snapshots[0], params, node_epsilon)
-    edges, cdf = _density_cdf(polar0)
+    edges, cdf = _density_cdf(record_polars(record, params, node_epsilon)[0])
     expected = float(np.interp(b, edges, cdf) - np.interp(a, edges, cdf))
 
-    endpoints = integrate_universes(record, [a, b], params, node_epsilon)
-    lo = endpoints.positions[0]
-    hi = endpoints.positions[1]
+    lo, hi = integrate_universes(record, [a, b], params, node_epsilon).positions
     pos = ensemble.positions
     fractions = np.array(
         [np.mean((pos[:, t] > lo[t]) & (pos[:, t] < hi[t])) for t in range(times.size)]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from mvlab.branchstats import convergence_demo, convergence_to_csv
-from mvlab.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, main
+from mvlab.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, _sha256, main
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -192,6 +193,14 @@ class TestFailureModes:
 
 
 class TestReproducibility:
+    @pytest.mark.parametrize("size", [0, (1 << 20) + 12345])
+    def test_manifest_digest_streams_the_file(self, tmp_path, size):
+        # an empty file, and one longer than the 1 MiB read chunk
+        path = tmp_path / "out.bin"
+        path.write_bytes((bytes(range(256)) * 5000)[:size])
+        assert path.stat().st_size == size
+        assert _sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
     def test_rerun_overwrites_with_identical_content(self, tmp_path):
         out = tmp_path / "out"
         checks = []

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -6,6 +9,8 @@ from hypothesis import strategies as st
 from corpus import corpus
 from oracles import discrete_harmonic_ground_state, gaussian_quantum_potential
 
+import mvlab.madelung
+from mvlab.cli import EXIT_OK, ExperimentConfig, run
 from mvlab.errors import DomainError
 from mvlab.evolution import evolve_schrodinger
 from mvlab.fields import (
@@ -26,8 +31,10 @@ from mvlab.madelung import (
     hamilton_jacobi_residual,
     quantum_potential,
     recompose,
+    record_polars,
     universe_density,
 )
+from mvlab.universes import density_transport_check, integrate_universes, stratified_positions
 
 PARAMS = PhysicalParams()
 
@@ -345,3 +352,91 @@ class TestResiduals:
         assert np.isfinite(cont.scalar) and cont.relative < 1e-2
         assert np.isfinite(hj.scalar) and hj.relative < 1e-2
         assert cont.mask.any()  # the node region was actually excluded
+
+
+def odd_record(n=512, n_steps=120, stride=4):
+    g = SpatialGrid(-20.0, 20.0, n)
+    return evolve_schrodinger(odd_state(g), free_potential(g), PARAMS, 1e-3, n_steps,
+                              snapshot_stride=stride)
+
+
+class TestRecordPolars:
+    """A record is decomposed once per snapshot, whichever consumers read it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counter = {"decompose": 0}
+        real = mvlab.madelung.decompose
+
+        def counted(*args, **kwargs):
+            counter["decompose"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mvlab.madelung, "decompose", counted)
+        return counter
+
+    @staticmethod
+    def outputs(rec, node_epsilon=1e-6):
+        """Residual reports, a bohmian ensemble and its transport fractions."""
+        V = free_potential(rec.grid)
+        reports = [continuity_residual(rec, PARAMS, node_epsilon),
+                   hamilton_jacobi_residual(rec, V, PARAMS, node_epsilon)]
+        starts = stratified_positions(decompose(rec.snapshots[0], PARAMS, node_epsilon), 40)
+        ens = integrate_universes(rec, starts, PARAMS, node_epsilon)
+        report = density_transport_check(rec, ens, (-3.0, -1.0), PARAMS, node_epsilon)
+        arrays = [a for r in reports for a in (r.times, r.field, r.mask)]
+        arrays += [ens.positions, ens.frozen_at, report.fractions, report.deviations]
+        scalars = [v for r in reports for v in (r.scalar, r.scale)] + [report.expected]
+        return arrays, scalars
+
+    def assert_same(self, left, right):
+        for a, b in zip(left[0], right[0], strict=True):
+            assert np.array_equal(a, b, equal_nan=True)
+        assert left[1] == right[1]
+
+    def test_stack_equals_per_snapshot_decompose(self):
+        rec = odd_record()
+        polars = record_polars(rec, PARAMS, 1e-3)
+        assert isinstance(polars, tuple) and len(polars) == len(rec.snapshots)
+        for polar, wf in zip(polars, rec.snapshots):
+            ref = decompose(wf, PARAMS, 1e-3)
+            assert np.array_equal(polar.R, ref.R) and np.array_equal(polar.phi, ref.phi)
+            assert np.array_equal(polar.node_mask, ref.node_mask)
+
+    def test_one_stack_held_per_key(self, calls):
+        rec = odd_record()
+        T = len(rec.snapshots)
+        first = record_polars(rec, PARAMS)
+        assert record_polars(rec, PARAMS) is first
+        assert record_polars(rec, PhysicalParams(mass=2.0)) is first  # phi does not depend on m
+        assert calls["decompose"] == T
+        other = record_polars(rec, PARAMS, 1e-3)
+        assert other is not first and record_polars(rec, PARAMS, 1e-3) is other
+        scaled = record_polars(rec, PhysicalParams(hbar=2.0))
+        assert np.array_equal(scaled[3].phi, 2.0 * first[3].phi)
+        assert record_polars(rec, PARAMS) is not first  # only the latest stack was held
+        assert calls["decompose"] == 4 * T
+
+    def test_consumers_decompose_each_snapshot_once(self, calls):
+        rec = odd_record()
+        V = free_potential(rec.grid)
+        continuity_residual(rec, PARAMS)
+        hamilton_jacobi_residual(rec, V, PARAMS)
+        ens = integrate_universes(rec, stratified_positions(record_polars(rec, PARAMS)[0], 40), PARAMS)
+        density_transport_check(rec, ens, (-3.0, -1.0), PARAMS)
+        assert calls["decompose"] == len(rec.snapshots)
+
+    def test_cli_universes_decomposes_each_snapshot_once(self, calls, tmp_path):
+        config = Path(__file__).resolve().parent.parent / "configs" / "universes.json"
+        parameters = json.loads(config.read_text())
+        parameters.pop("experiment")
+        assert run(ExperimentConfig("universes", parameters), tmp_path, quiet=True) == EXIT_OK
+        assert calls["decompose"] == parameters["n_steps"] // parameters["snapshot_stride"] + 1
+
+    def test_reused_record_matches_fresh(self):
+        rec = odd_record()
+        self.outputs(rec)
+        self.assert_same(self.outputs(rec), self.outputs(odd_record()))
+        # another node_epsilon rebuilds the held stack, and back again
+        self.assert_same(self.outputs(rec, 1e-3), self.outputs(odd_record(), 1e-3))
+        self.assert_same(self.outputs(rec), self.outputs(odd_record()))

@@ -17,7 +17,7 @@ from mvlab.fields import (
     make_gaussian_packet,
     make_plane_wave,
 )
-from mvlab.madelung import decompose
+from mvlab.madelung import MASK_DILATION, decompose, dilate_mask
 from mvlab.universes import (
     TrajectoryEnsemble,
     crossing_count,
@@ -87,6 +87,19 @@ class TestVelocityField:
         v = velocity_field(decompose(odd, PARAMS), PARAMS)
         center = np.argmin(np.abs(g.points))
         assert np.isnan(v[center])
+
+    @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+    def test_nan_set_is_the_dilated_node_mask(self, boundary):
+        # the same node zone in which integrate_universes freezes trajectories
+        g = SpatialGrid(-20.0, 20.0, 1024, boundary)
+        plus = make_gaussian_packet(g, 2.0, 1.0, 0.0, PARAMS)
+        minus = make_gaussian_packet(g, -2.0, 1.0, 0.0, PARAMS)
+        from mvlab.fields import GridWavefunction, normalize
+
+        polar = decompose(normalize(GridWavefunction(g, plus.amplitudes - minus.amplitudes)), PARAMS)
+        assert polar.node_mask.any()
+        zone = dilate_mask(polar.node_mask, MASK_DILATION, boundary == "periodic")
+        assert np.array_equal(np.isnan(velocity_field(polar, PARAMS)), zone)
 
 
 class TestIntegrateUniverses:
