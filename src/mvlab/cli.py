@@ -9,7 +9,9 @@ Each pipeline computes all of its results before any file is opened; its
 writers only format them, through the shared write_csv.
 
 Exit codes: 0 success, 2 config validation failure, 3 numerical guard
-(stability, capacity), 4 I/O failure.
+(stability, capacity), 4 I/O failure. A run whose arrays are estimated from
+its parameters to exceed MAX_RUN_BYTES is refused with exit 3 before any
+of them is allocated.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ from .branchstats import (
     enumerate_branch_tree,
     expected_frequency,
 )
-from .errors import DomainError, GuardError, MvLabError, ProtocolError
+from .errors import CapacityError, DomainError, GuardError, MvLabError, ProtocolError
 from .evolution import (
+    MAX_DEFAULT_SNAPSHOTS,
     classical_ensemble_evolve,
     classical_to_csv,
     evolution_to_csv,
@@ -76,6 +79,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_GUARD = 3
 EXIT_IO = 4
+
+MAX_RUN_BYTES = 1 << 30  # a run whose _estimated_bytes exceed this exits 3
 
 
 class ConfigError(MvLabError):
@@ -392,6 +397,34 @@ EXPERIMENTS = {
 }
 
 
+def _estimated_bytes(experiment: str, p: dict) -> int:
+    """The bytes of a run's largest arrays, from its validated parameters alone.
+
+    A wave snapshot is 16 B per grid point (decompose and caustic hold one
+    grid's worth), a trajectory table 8 B per trajectory per recorded time
+    (caustic records positions and velocities at every step), a sampled
+    column 8 B per value.
+    """
+    n_bytes = 0
+    if "n_points" in p:
+        snapshots = 1
+        if "n_steps" in p:  # evolve, universes: one per stride, else the default cap
+            n_steps, stride = p["n_steps"], p["snapshot_stride"]
+            snapshots = (n_steps // stride if stride else min(n_steps, MAX_DEFAULT_SNAPSHOTS)) + 1
+        n_bytes += 16 * p["n_points"] * snapshots
+        if experiment == "universes":
+            n_bytes += 8 * p["n_trajectories"] * snapshots
+    if experiment == "caustic":
+        steps = p["t_total"] / p["dt"]
+        times = round(steps) + 1 if steps < MAX_RUN_BYTES else MAX_RUN_BYTES  # inf and nan too
+        n_bytes += 2 * 8 * p["n_trajectories"] * times
+    elif experiment == "bell":
+        n_bytes += 3 * 8 * p["n_theta"]
+    elif experiment == "convergence":
+        n_bytes += 8 * max(p["N_values"])
+    return n_bytes
+
+
 def _sha256(path: Path) -> str:
     """Hex digest of a file, read in 1 MiB chunks so no output is held whole."""
     digest = hashlib.sha256()
@@ -424,6 +457,12 @@ def run(config: ExperimentConfig, out_dir=".", quiet: bool = False) -> int:
     started = time.perf_counter()
     try:
         parameters = _validate(schema, config.parameters, config.experiment)
+        n_bytes = _estimated_bytes(config.experiment, parameters)
+        if n_bytes > MAX_RUN_BYTES:
+            raise CapacityError(
+                f"the run needs about {n_bytes >> 20} MiB of arrays, "
+                f"over the {MAX_RUN_BYTES >> 20} MiB cap; reduce its size parameters"
+            )
         outputs = pipeline(parameters)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,8 +1,12 @@
 """Deterministic time evolution: unitary wave propagation and classical flows.
 
-Two wave integrators, selected by the grid's boundary kind: a second-order
-split-step spectral scheme on periodic grids (norm-preserving to rounding)
-and Crank-Nicolson with a tridiagonal solve on dirichlet grids. The
+Two wave integrators, selected by the grid's boundary kind. Periodic grids
+use a second-order split-step spectral scheme (norm-preserving to rounding)
+whose numpy FFTs run in one preallocated buffer. Dirichlet grids use
+Crank-Nicolson: its constant tridiagonal matrix is LU-factored once per
+evolution by LAPACK gttrf and each step is one gttrs solve. scipy's LAPACK
+wrappers are imported when a dirichlet evolution first needs them, so
+importing mvlab or evolving on a periodic grid never loads scipy.linalg. The
 classical companion integrates Newtonian characteristics with RK4 so that
 trajectory crossings - the caustics the wave equation never develops - can
 be produced and timed accurately.
@@ -13,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import DomainError, StabilityError
 from .fields import (
@@ -159,32 +162,46 @@ def _split_step_stepper(grid, V, params, dt):
     k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
     kinetic = np.exp(-1j * params.hbar * k**2 * dt / (2.0 * params.mass))
     half_kick = np.exp(-1j * V.values * dt / (2.0 * params.hbar))
+    buf = np.empty(grid.n_points, dtype=np.complex128)
 
     def step(psi):
-        psi = half_kick * psi
-        psi = np.fft.ifft(kinetic * np.fft.fft(psi))
-        return half_kick * psi
+        # one buffer; every product keeps the operand order of the out-of-place step,
+        # since swapping it (e.g. buf *= kinetic) changes bits
+        np.multiply(half_kick, psi, out=buf)
+        np.fft.fft(buf, out=buf)
+        np.multiply(kinetic, buf, out=buf)
+        np.fft.ifft(buf, out=buf)
+        return half_kick * buf
 
     return step
 
 
 def _crank_nicolson_stepper(grid, V, params, dt):
-    # H = -(hbar^2/2m) D2 + V with zero ghosts just outside the stored points
-    n = grid.n_points
+    # H = -(hbar^2/2m) D2 + V with zero ghosts just outside the stored points;
+    # (1 + r H) psi' = (1 - r H) psi, the left matrix LU-factored once
+    from scipy.linalg.lapack import get_lapack_funcs
+
     c = params.hbar**2 / (2.0 * params.mass * grid.dx**2)
     diag = 2.0 * c + V.values
     r = 1j * dt / (2.0 * params.hbar)
-    ab = np.zeros((3, n), dtype=np.complex128)
-    ab[0, 1:] = -r * c
-    ab[1, :] = 1.0 + r * diag
-    ab[2, :-1] = -r * c
+    off = np.full(grid.n_points - 1, -r * c, dtype=np.complex128)
+    main = 1.0 + r * diag
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (main,))
+    dl, d, du, du2, ipiv, info = gttrf(off, main, off)
+    if info != 0:
+        raise DomainError(f"Crank-Nicolson factorisation failed (LAPACK gttrf info={info})")
 
     def step(psi):
         h_psi = diag * psi
         h_psi[:-1] -= c * psi[1:]
         h_psi[1:] -= c * psi[:-1]
         rhs = psi - r * h_psi
-        return solve_banded((1, 1), ab, rhs)
+        if not np.isfinite(rhs).all():
+            raise DomainError("Crank-Nicolson right-hand side is not finite (state, dt, hbar or dx)")
+        x, info = gttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=True)
+        if info != 0:
+            raise DomainError(f"Crank-Nicolson solve failed (LAPACK gttrs info={info})")
+        return x
 
     return step
 

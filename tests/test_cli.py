@@ -1,12 +1,25 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from mvlab.branchstats import convergence_demo, convergence_to_csv
-from mvlab.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, _sha256, main
+from mvlab.cli import (
+    EXIT_CONFIG,
+    EXIT_GUARD,
+    EXIT_OK,
+    EXPERIMENTS,
+    MAX_RUN_BYTES,
+    _estimated_bytes,
+    _sha256,
+    _validate,
+    main,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -82,6 +95,50 @@ class TestGuards:
         out = tmp_path / "out"
         status = run_cli("branch_stats", "--config", str(config), "--out-dir", str(out))
         assert status == EXIT_GUARD
+        assert not out.exists()
+
+    # each override asks for far more than MAX_RUN_BYTES; only the refusal is ever run
+    @pytest.mark.parametrize("experiment, override", [
+        ("evolve", "n_points=100000000000"),
+        ("decompose", "n_points=100000000000"),
+        ("universes", "n_trajectories=100000000000"),
+        ("caustic", "dt=1e-12"),
+        ("caustic", "t_total=Infinity"),
+        ("bell", "n_theta=100000000000"),
+        ("convergence", "N_values=[10, 100000000000]"),
+    ])
+    def test_size_guard_refuses_before_allocating(self, tmp_path, capsys, experiment, override):
+        out = tmp_path / "out"
+        status = run_cli(experiment, "--config", str(CONFIGS / f"{experiment}.json"),
+                         "--set", override, "--out-dir", str(out))
+        assert status == EXIT_GUARD
+        assert "MiB cap" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_size_estimate_of_the_configs(self):
+        expected = {
+            "evolve": 16 * 256 * 6,  # 100 steps, stride 20
+            "universes": 16 * 512 * 11 + 8 * 64 * 11,  # 200 steps, stride 20, 64 trajectories
+            "caustic": 16 * 256 + 2 * 8 * 16 * 103,  # round(1.2546 / 0.0123) + 1 recorded times
+            "decompose": 16 * 256,
+            "bell": 3 * 8 * 32,
+            "convergence": 8 * 10000,
+            "branch_stats": 0,
+            "spin_split": 0,
+        }
+        for name in expected:
+            raw = json.loads((CONFIGS / f"{name}.json").read_text())
+            raw.pop("experiment")
+            p = _validate(EXPERIMENTS[name][0], raw, name)
+            assert (name, _estimated_bytes(name, p)) == (name, expected[name])
+            assert expected[name] < MAX_RUN_BYTES
+
+    def test_non_finite_dirichlet_step_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        status = run_cli("evolve", "--config", str(CONFIGS / "evolve.json"), "--set", "boundary=dirichlet",
+                         "--set", "dt=Infinity", "--out-dir", str(out))
+        assert status == EXIT_CONFIG
+        assert "not finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_stability_guard(self, tmp_path):
@@ -190,6 +247,48 @@ class TestFailureModes:
                          "--set", "thetapi", "--out-dir", str(tmp_path / "o"))
         assert status == EXIT_CONFIG
         assert "key=value" in capsys.readouterr().err
+
+
+def imported_modules(tmp_path, *args):
+    """Exit status and every module a fresh interpreter imports, read from -X importtime."""
+    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines() if line.startswith("import time:")
+    }
+
+
+class TestStartupImports:
+    """scipy.linalg loads only when a dirichlet evolution needs LAPACK."""
+
+    @pytest.mark.parametrize("module", ["mvlab", "mvlab.cli"])
+    def test_import_leaves_out_scipy_linalg(self, tmp_path, module):
+        status, modules = imported_modules(tmp_path, "-c", f"import {module}")
+        assert status == 0
+        assert module in modules
+        assert "scipy.linalg" not in modules
+
+    def test_periodic_evolve_leaves_out_scipy_linalg(self, tmp_path):
+        status, modules = imported_modules(tmp_path, "-m", "mvlab.cli", "evolve", "--config",
+                                           str(CONFIGS / "evolve.json"), "--out-dir", "out", "--quiet")
+        assert status == EXIT_OK
+        assert (tmp_path / "out" / "evolution.csv").exists()
+        assert "scipy.linalg" not in modules
+
+    def test_dirichlet_evolve_loads_it_and_reproduces(self, tmp_path):
+        for label in ("run1", "run2"):
+            status, modules = imported_modules(
+                tmp_path, "-m", "mvlab.cli", "evolve", "--config", str(CONFIGS / "evolve.json"),
+                "--set", "boundary=dirichlet", "--out-dir", label, "--quiet",
+            )
+            assert status == EXIT_OK
+            assert "scipy.linalg" in modules
+        runs = [tmp_path / label for label in ("run1", "run2")]
+        assert (runs[0] / "evolution.csv").read_bytes() == (runs[1] / "evolution.csv").read_bytes()
+        assert manifest_core(runs[0] / "manifest.json") == manifest_core(runs[1] / "manifest.json")
 
 
 class TestReproducibility:

@@ -1,14 +1,23 @@
 import numpy as np
 import pytest
+import scipy.linalg.lapack
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from corpus import corpus
 from oracles import coherent_state, discrete_harmonic_ground_state, free_gaussian
 
 from mvlab.errors import DomainError, StabilityError
-from mvlab.evolution import classical_ensemble_evolve, evolve_schrodinger
+from mvlab.evolution import (
+    _crank_nicolson_stepper,
+    classical_ensemble_evolve,
+    evolve_schrodinger,
+)
 from mvlab.fields import (
     GridWavefunction,
     PhysicalParams,
+    PotentialField,
     SpatialGrid,
     free_potential,
     harmonic_potential,
@@ -18,6 +27,75 @@ from mvlab.fields import (
 )
 
 PARAMS = PhysicalParams()
+
+
+def oracle_split_step(grid, V, params, dt):
+    """The out-of-place Strang step: a fresh array per product and per FFT."""
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
+    kinetic = np.exp(-1j * params.hbar * k**2 * dt / (2.0 * params.mass))
+    half_kick = np.exp(-1j * V.values * dt / (2.0 * params.hbar))
+
+    def step(psi):
+        psi = half_kick * psi
+        psi = np.fft.ifft(kinetic * np.fft.fft(psi))
+        return half_kick * psi
+
+    return step
+
+
+def oracle_crank_nicolson(grid, V, params, dt):
+    """Crank-Nicolson through solve_banded, which eliminates the whole system every step."""
+    n = grid.n_points
+    c = params.hbar**2 / (2.0 * params.mass * grid.dx**2)
+    diag = 2.0 * c + V.values
+    r = 1j * dt / (2.0 * params.hbar)
+    ab = np.zeros((3, n), dtype=np.complex128)
+    ab[0, 1:] = -r * c
+    ab[1, :] = 1.0 + r * diag
+    ab[2, :-1] = -r * c
+
+    def step(psi):
+        h_psi = diag * psi
+        h_psi[:-1] -= c * psi[1:]
+        h_psi[1:] -= c * psi[:-1]
+        rhs = psi - r * h_psi
+        return solve_banded((1, 1), ab, rhs)
+
+    return step
+
+
+def assert_record_matches_oracle(wf0, V, params, dt, n_steps, stride):
+    """Every snapshot of evolve_schrodinger is bit-for-bit the oracle stepper's state."""
+    grid = wf0.grid
+    oracle = oracle_split_step if grid.boundary == "periodic" else oracle_crank_nicolson
+    step = oracle(grid, V, params, dt)
+    psi = wf0.amplitudes.copy()
+    expected = [psi]
+    for k in range(1, n_steps + 1):
+        psi = step(psi)
+        if k % stride == 0:
+            expected.append(psi)
+    record = evolve_schrodinger(wf0, V, params, dt, n_steps, stride)
+    got = np.stack([wf.amplitudes for wf in record.snapshots])
+    assert got.shape == (len(expected), grid.n_points)
+    assert np.array_equal(got.view(np.float64), np.stack(expected).view(np.float64))
+
+
+@st.composite
+def random_evolution(draw):
+    """A random grid, state, potential and step inside the dt*max|V|/hbar < 0.5 guard."""
+    n = draw(st.integers(8, 128))
+    boundary = draw(st.sampled_from(["periodic", "dirichlet"]))
+    params = PhysicalParams(draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 10.0)))
+    dt = draw(st.floats(1e-4, 0.1))
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    grid = SpatialGrid(-4.0, 4.0, n, boundary)
+    amps = np.array(draw(st.lists(unit, min_size=n, max_size=n))) + 1j * np.array(
+        draw(st.lists(unit, min_size=n, max_size=n))
+    )
+    v_cap = draw(st.floats(0.0, 0.49)) * params.hbar / dt
+    V = PotentialField(grid, v_cap * np.array(draw(st.lists(unit, min_size=n, max_size=n))))
+    return GridWavefunction(grid, amps), V, params, dt, draw(st.integers(1, 12))
 
 
 class TestSplitStep:
@@ -118,6 +196,64 @@ class TestCrankNicolson:
         rec = evolve_schrodinger(wf0, V, PARAMS, 5e-4, 2000, snapshot_stride=2000)
         exact = coherent_state(g.points, rec.times[-1], 1.0, 1.0)
         assert np.max(np.abs(rec.snapshots[-1].amplitudes - exact)) < 2e-3
+
+
+class TestSteppersMatchOracles:
+    """The buffered split step and the once-factored Crank-Nicolson leave every bit as before."""
+
+    @pytest.mark.parametrize("n", [255, 256])
+    @pytest.mark.parametrize("potential", ["free", "harmonic"])
+    @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+    def test_records_bitwise_equal(self, boundary, potential, n):
+        params = PhysicalParams(0.8, 1.7) if n % 2 else PARAMS
+        g = SpatialGrid(-16.0, 16.0, n, boundary)
+        wf0 = make_gaussian_packet(g, -1.0, 1.0, 2.0, params)
+        V = free_potential(g) if potential == "free" else harmonic_potential(g, 1.0, params)
+        assert_record_matches_oracle(wf0, V, params, 1e-3, 300, 20)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=random_evolution())
+    def test_random_states_bitwise_equal(self, case):
+        wf0, V, params, dt, n_steps = case
+        assert_record_matches_oracle(wf0, V, params, dt, n_steps, 1)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestCrankNicolsonFailsClosed:
+    def stepper(self):
+        g = SpatialGrid(-8.0, 8.0, 64, "dirichlet")
+        return _crank_nicolson_stepper(g, free_potential(g), PARAMS, 1e-3), g
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_state_refused(self, bad):
+        step, g = self.stepper()
+        psi = make_gaussian_packet(g, 0.0, 1.0, 0.0, PARAMS).amplitudes.copy()
+        psi[17] = bad
+        with pytest.raises(DomainError, match="not finite"):
+            step(psi)
+
+    def test_non_finite_operator_refused(self):
+        g = SpatialGrid(-8.0, 8.0, 64, "dirichlet")
+        step = _crank_nicolson_stepper(g, free_potential(g), PARAMS, np.inf)
+        with pytest.raises(DomainError, match="not finite"):
+            step(make_gaussian_packet(g, 0.0, 1.0, 0.0, PARAMS).amplitudes)
+
+    # gttrf reports a singular factor with info > 0, either routine a bad argument with info < 0
+    @pytest.mark.parametrize("routine, info", [("gttrf", 3), ("gttrf", -2), ("gttrs", -6)])
+    def test_lapack_info_raises(self, monkeypatch, routine, info):
+        real = scipy.linalg.lapack.get_lapack_funcs
+
+        def failing(names, arrays):
+            funcs = dict(zip(names, real(names, arrays)))
+            wrapped = funcs[routine]
+            funcs[routine] = lambda *a, **kw: (*wrapped(*a, **kw)[:-1], info)
+            return tuple(funcs[name] for name in names)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "get_lapack_funcs", failing)
+        g = SpatialGrid(-8.0, 8.0, 64, "dirichlet")
+        wf0 = make_gaussian_packet(g, 0.0, 1.0, 0.0, PARAMS)
+        with pytest.raises(DomainError, match=f"{routine} info={info}"):
+            evolve_schrodinger(wf0, free_potential(g), PARAMS, 1e-3, 5)
 
 
 class TestGuards:
