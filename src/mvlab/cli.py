@@ -9,9 +9,9 @@ Each pipeline computes all of its results before any file is opened; its
 writers only format them, through the shared write_csv.
 
 Exit codes: 0 success, 2 config validation failure, 3 numerical guard
-(stability, capacity), 4 I/O failure. A run whose arrays are estimated from
-its parameters to exceed MAX_RUN_BYTES is refused with exit 3 before any
-of them is allocated.
+(stability, capacity, or an arithmetic overflow that escaped validation),
+4 I/O failure. A run whose arrays are estimated from its parameters to
+exceed MAX_RUN_BYTES is refused with exit 3 before any of them is allocated.
 """
 
 from __future__ import annotations
@@ -464,14 +464,14 @@ def run(config: ExperimentConfig, out_dir=".", quiet: bool = False) -> int:
                 f"over the {MAX_RUN_BYTES >> 20} MiB cap; reduce its size parameters"
             )
         outputs = pipeline(parameters)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DomainError, ProtocolError) as exc:
+    except (ConfigError, DomainError, ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except GuardError as exc:
         print(f"error: numerical guard tripped: {exc}", file=sys.stderr)
+        return EXIT_GUARD
+    except ArithmeticError as exc:  # an overflow no validator anticipated
+        print(f"error: arithmetic failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_GUARD
 
     out_path = Path(out_dir)

@@ -10,6 +10,7 @@ importing mvlab or evolving on a periodic grid never loads scipy.linalg. The
 classical companion integrates Newtonian characteristics with RK4 so that
 trajectory crossings - the caustics the wave equation never develops - can
 be produced and timed accurately.
+An EvolutionRecord holds its snapshots as one (T, n) array, validated once.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .fields import (
     SpatialGrid,
     gradient,
     interpolator,
-    norm_squared,
     write_csv,
 )
 from .universes import TrajectoryEnsemble
@@ -37,11 +37,11 @@ UNITARITY_TOLERANCE = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class EvolutionRecord:
-    """Uniformly spaced snapshots of a single wave evolution.
+    """Uniformly spaced snapshots of a single wave evolution, row s of amplitudes at times[s].
 
-    Snapshot norms are checked against the first snapshot at construction:
-    a drift beyond 1e-8 means the integrator violated unitarity and the
-    record is refused.
+    The (T, n) array is kept, not copied, and made read-only. Row norms are
+    checked against row 0: a drift beyond 1e-8 means the integrator violated
+    unitarity and the record is refused.
     """
 
     params: PhysicalParams
@@ -49,29 +49,35 @@ class EvolutionRecord:
     dt: float
     snapshot_stride: int
     times: np.ndarray
-    snapshots: tuple[GridWavefunction, ...]
+    amplitudes: np.ndarray
     _polars: tuple | None = field(default=None, init=False, repr=False)  # see record_polars
 
     def __post_init__(self):
         times = np.array(self.times, dtype=np.float64)
-        if times.size != len(self.snapshots) or times.size == 0:
-            raise DomainError("times and snapshots must align and be nonempty")
-        if times.size > 1:
-            spacing = np.diff(times)
-            target = self.dt * self.snapshot_stride
-            if np.any(spacing <= 0.0) or np.any(np.abs(spacing - target) > 1e-9 * max(target, 1e-300)):
-                raise DomainError("snapshot times must increase uniformly by dt*stride")
-        n0 = norm_squared(self.snapshots[0])
-        for wf in self.snapshots[1:]:
-            if abs(norm_squared(wf) - n0) > UNITARITY_TOLERANCE:
-                raise DomainError("snapshot norms drift beyond the unitarity tolerance")
+        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        if times.size == 0 or amps.shape != (times.size, self.grid.n_points):
+            raise DomainError(f"amplitudes must have shape (T > 0, n_points), got {amps.shape}")
+        spacing, target = np.diff(times), self.dt * self.snapshot_stride
+        if np.any(spacing <= 0.0) or np.any(np.abs(spacing - target) > 1e-9 * max(target, 1e-300)):
+            raise DomainError("snapshot times must increase uniformly by dt*stride")
+        if not np.isfinite(amps).all():
+            raise DomainError("amplitudes contain NaN or Inf")
+        norms = np.vecdot(amps, amps).real * self.grid.dx  # no (T, n) temporary, unlike sum(|a|**2)
+        if np.any(np.abs(norms - norms[0]) > UNITARITY_TOLERANCE):
+            raise DomainError("snapshot norms drift beyond the unitarity tolerance")
         times.flags.writeable = False
+        amps.flags.writeable = False
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "snapshots", tuple(self.snapshots))
+        object.__setattr__(self, "amplitudes", amps)
 
     @property
     def grid(self) -> SpatialGrid:
-        return self.snapshots[0].grid
+        return self.potential.grid
+
+    @property
+    def snapshots(self) -> tuple[GridWavefunction, ...]:
+        """Each row as its own GridWavefunction (a copy per row)."""
+        return tuple(GridWavefunction(self.grid, row) for row in self.amplitudes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,13 +100,9 @@ class ClassicalEnsembleRecord:
 
 
 def _auto_stride(n_steps: int) -> int:
-    if n_steps <= MAX_DEFAULT_SNAPSHOTS:
-        return 1
+    """The least divisor of n_steps >= 1 with n_steps // stride <= MAX_DEFAULT_SNAPSHOTS."""
     target = -(-n_steps // MAX_DEFAULT_SNAPSHOTS)  # ceil division
-    for stride in range(target, n_steps + 1):
-        if n_steps % stride == 0:
-            return stride
-    return n_steps
+    return next(stride for stride in range(target, n_steps + 1) if n_steps % stride == 0)
 
 
 def evolve_schrodinger(
@@ -142,8 +144,8 @@ def evolve_schrodinger(
                 "so snapshot times stay uniform"
             )
 
-    psi = wf0.amplitudes.copy()
-    snapshots = [wf0]
+    amplitudes = np.empty((n_steps // stride + 1, grid.n_points), dtype=np.complex128)
+    psi = amplitudes[0] = wf0.amplitudes
     if n_steps > 0:
         step = (
             _split_step_stepper(grid, V, params, dt)
@@ -153,9 +155,9 @@ def evolve_schrodinger(
         for k in range(1, n_steps + 1):
             psi = step(psi)
             if k % stride == 0:
-                snapshots.append(GridWavefunction(grid, psi.copy()))
-    times = np.arange(len(snapshots)) * (dt * stride)
-    return EvolutionRecord(params, V, dt, stride, times, tuple(snapshots))
+                amplitudes[k // stride] = psi
+    times = np.arange(len(amplitudes)) * (dt * stride)
+    return EvolutionRecord(params, V, dt, stride, times, amplitudes)
 
 
 def _split_step_stepper(grid, V, params, dt):
@@ -279,8 +281,8 @@ def evolution_to_csv(record: EvolutionRecord, path) -> None:
     n = record.grid.n_points
     x = list(map(repr, record.grid.points.tolist()))
     write_csv(path, "t,x,re,im,R2", (
-        ([repr(t)] * n, x, wf.amplitudes.real, wf.amplitudes.imag, np.abs(wf.amplitudes) ** 2)
-        for t, wf in zip(record.times.tolist(), record.snapshots)
+        ([repr(t)] * n, x, psi.real, psi.imag, np.abs(psi) ** 2)
+        for t, psi in zip(record.times.tolist(), record.amplitudes)
     ))
 
 

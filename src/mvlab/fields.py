@@ -7,14 +7,16 @@ Conventions used throughout the package:
   dirichlet grids hold the field at zero just outside the stored points;
 * all integrals are discrete Riemann sums with weight dx, so
   norm_squared(psi) = sum |psi_j|^2 * dx;
-* spatial derivatives are second-order centered differences, with wraparound
-  on periodic grids and one-sided second-order stencils at dirichlet ends;
+* spatial derivatives are second-order centered differences along the last
+  axis (one (n,) field or every row of a (T, n) stack), with wraparound on
+  periodic grids and one-sided second-order stencils at dirichlet ends;
 * every CSV file of the package is written by write_csv, which prints
   floats as repr of the float64, so they read back exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,14 +28,14 @@ BOUNDARIES = ("periodic", "dirichlet")
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Planck constant and particle mass, both strictly positive."""
+    """Planck constant and particle mass, both strictly positive; hbar**2 must be finite."""
 
     hbar: float = 1.0
     mass: float = 1.0
 
     def __post_init__(self):
-        if not (self.hbar > 0.0):
-            raise DomainError(f"hbar must be positive, got {self.hbar}")
+        if not (self.hbar > 0.0 and math.isfinite(self.hbar * self.hbar)):
+            raise DomainError(f"hbar must be positive with a finite square, got {self.hbar}")
         if not (self.mass > 0.0):
             raise DomainError(f"mass must be positive, got {self.mass}")
 
@@ -118,8 +120,8 @@ def harmonic_potential(
     grid: SpatialGrid, omega: float, params: PhysicalParams, center: float = 0.0
 ) -> PotentialField:
     """V = m*omega^2*(x - center)^2 / 2."""
-    if not (omega > 0.0):
-        raise DomainError(f"omega must be positive, got {omega}")
+    if not (omega > 0.0 and math.isfinite(omega * omega)):
+        raise DomainError(f"omega must be positive with a finite square, got {omega}")
     x = grid.points
     return PotentialField(grid, 0.5 * params.mass * omega**2 * (x - center) ** 2)
 
@@ -135,8 +137,8 @@ def make_gaussian_packet(
     """
     if not (grid.x_min < x0 < grid.x_max):
         raise DomainError(f"x0={x0} lies outside the grid ({grid.x_min}, {grid.x_max})")
-    if not (sigma > 0.0):
-        raise DomainError(f"sigma must be positive, got {sigma}")
+    if not (sigma > 0.0 and math.isfinite(sigma * sigma)):
+        raise DomainError(f"sigma must be positive with a finite square, got {sigma}")
     if sigma < 4.0 * grid.dx:
         raise ResolutionError(
             f"sigma={sigma} under-resolved: need sigma >= 4*dx = {4.0 * grid.dx}"
@@ -179,26 +181,27 @@ def normalize(wf: GridWavefunction) -> GridWavefunction:
 
 
 def gradient(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    """Second-order first derivative respecting the grid's boundary kind."""
+    """Second-order first derivative along the last axis, respecting the grid's boundary kind."""
     dx = grid.dx
     if grid.boundary == "periodic":
-        return (np.roll(values, -1) - np.roll(values, 1)) / (2.0 * dx)
+        return (np.roll(values, -1, axis=-1) - np.roll(values, 1, axis=-1)) / (2.0 * dx)
     out = np.empty_like(np.asarray(values, dtype=np.result_type(values, 1.0)))
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * dx)
-    out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * dx)
-    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * dx)
+    out[..., 1:-1] = (values[..., 2:] - values[..., :-2]) / (2.0 * dx)
+    out[..., 0] = (-3.0 * values[..., 0] + 4.0 * values[..., 1] - values[..., 2]) / (2.0 * dx)
+    out[..., -1] = (3.0 * values[..., -1] - 4.0 * values[..., -2] + values[..., -3]) / (2.0 * dx)
     return out
 
 
 def laplacian(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    """Second-order second derivative respecting the grid's boundary kind."""
+    """Second-order second derivative along the last axis, respecting the grid's boundary kind."""
     dx2 = grid.dx * grid.dx
     if grid.boundary == "periodic":
-        return (np.roll(values, -1) - 2.0 * values + np.roll(values, 1)) / dx2
-    out = np.empty_like(np.asarray(values, dtype=np.result_type(values, 1.0)))
-    out[1:-1] = (values[2:] - 2.0 * values[1:-1] + values[:-2]) / dx2
-    out[0] = (2.0 * values[0] - 5.0 * values[1] + 4.0 * values[2] - values[3]) / dx2
-    out[-1] = (2.0 * values[-1] - 5.0 * values[-2] + 4.0 * values[-3] - values[-4]) / dx2
+        return (np.roll(values, -1, axis=-1) - 2.0 * values + np.roll(values, 1, axis=-1)) / dx2
+    v = values
+    out = np.empty_like(np.asarray(v, dtype=np.result_type(v, 1.0)))
+    out[..., 1:-1] = (v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]) / dx2
+    out[..., 0] = (2.0 * v[..., 0] - 5.0 * v[..., 1] + 4.0 * v[..., 2] - v[..., 3]) / dx2
+    out[..., -1] = (2.0 * v[..., -1] - 5.0 * v[..., -2] + 4.0 * v[..., -3] - v[..., -4]) / dx2
     return out
 
 

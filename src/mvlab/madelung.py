@@ -6,7 +6,8 @@ downstream physics uses. Unwrapping never crosses a node: each node-free
 segment unwraps independently, anchored at its own modulus maximum where phi
 takes its principal value in (-pi*hbar, pi*hbar].
 
-A record is decomposed once, by record_polars; every consumer reads that stack.
+A record is decomposed once, by record_polars, into one (T, n) PolarField
+stack that every consumer reads; the residual pair is whole-stack arithmetic.
 """
 
 from __future__ import annotations
@@ -39,7 +40,11 @@ MASK_DILATION = 2
 
 @dataclass(frozen=True, eq=False)
 class PolarField:
-    """Modulus R >= 0 and unwrapped phase phi (action units) on a grid."""
+    """Modulus R >= 0 and unwrapped phase phi (action units) on a grid.
+
+    R, phi and node_mask share the shape (n,), or (T, n) for a stack whose
+    polar[s] is snapshot s; the arrays are kept, not copied, and made read-only.
+    """
 
     grid: SpatialGrid
     R: np.ndarray
@@ -47,21 +52,28 @@ class PolarField:
     node_mask: np.ndarray
 
     def __post_init__(self):
-        for name in ("R", "phi"):
-            arr = np.array(getattr(self, name), dtype=np.float64)
-            if arr.shape != (self.grid.n_points,):
-                raise DomainError(f"{name} must have shape ({self.grid.n_points},)")
-            if not np.all(np.isfinite(arr)):
+        n = self.grid.n_points
+        R = np.asarray(self.R, dtype=np.float64)
+        if R.ndim not in (1, 2) or R.shape[-1] != n:
+            raise DomainError(f"R must have shape ({n},) or (T, {n}), got {R.shape}")
+        for name, dtype in (("R", np.float64), ("phi", np.float64), ("node_mask", bool)):
+            arr = np.asarray(getattr(self, name), dtype=dtype)
+            if arr.shape != R.shape:
+                raise DomainError(f"{name} must have the shape of R, {R.shape}")
+            if dtype is not bool and not np.isfinite(arr).all():
                 raise DomainError(f"{name} contains NaN or Inf")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if np.any(self.R < 0.0):
+        if np.any(R < 0.0):
             raise DomainError("R must be nonnegative")
-        mask = np.array(self.node_mask, dtype=bool)
-        if mask.shape != (self.grid.n_points,):
-            raise DomainError(f"node_mask must have shape ({self.grid.n_points},)")
-        mask.flags.writeable = False
-        object.__setattr__(self, "node_mask", mask)
+
+    def __len__(self) -> int:
+        if self.R.ndim != 2:
+            raise TypeError("a single-snapshot PolarField has no length")
+        return len(self.R)
+
+    def __getitem__(self, s) -> "PolarField":
+        return PolarField(self.grid, self.R[s], self.phi[s], self.node_mask[s])
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,15 +107,15 @@ class ResidualReport:
 
 
 def dilate_mask(mask: np.ndarray, cells: int, periodic: bool) -> np.ndarray:
-    """Widen a boolean mask by `cells` grid points on each side."""
+    """Widen a boolean mask by `cells` grid points on each side, along the last axis."""
     out = mask.copy()
     for _ in range(cells):
         if periodic:
-            out = out | np.roll(out, 1) | np.roll(out, -1)
+            out = out | np.roll(out, 1, axis=-1) | np.roll(out, -1, axis=-1)
         else:
             grown = out.copy()
-            grown[1:] |= out[:-1]
-            grown[:-1] |= out[1:]
+            grown[..., 1:] |= out[..., :-1]
+            grown[..., :-1] |= out[..., 1:]
             out = grown
     return out
 
@@ -145,7 +157,7 @@ def recompose(polar: PolarField, params: PhysicalParams) -> GridWavefunction:
 
 
 def phase_gradient(phi: np.ndarray, grid: SpatialGrid, hbar: float) -> np.ndarray:
-    """Centered gradient of the phase, branch-safe.
+    """Centered gradient of the phase along the last axis, branch-safe.
 
     Neighbor differences are wrapped into (-pi*hbar, pi*hbar] before
     averaging, so independently unwrapped segments and the periodic seam
@@ -156,13 +168,13 @@ def phase_gradient(phi: np.ndarray, grid: SpatialGrid, hbar: float) -> np.ndarra
     period = 2.0 * np.pi * hbar
     dx = grid.dx
     if grid.boundary == "periodic":
-        fwd = _wrap(np.roll(phi, -1) - phi, period)
-        return (fwd + np.roll(fwd, 1)) / (2.0 * dx)
-    fwd = _wrap(phi[1:] - phi[:-1], period)
+        fwd = _wrap(np.roll(phi, -1, axis=-1) - phi, period)
+        return (fwd + np.roll(fwd, 1, axis=-1)) / (2.0 * dx)
+    fwd = _wrap(phi[..., 1:] - phi[..., :-1], period)
     out = np.empty_like(phi)
-    out[1:-1] = (fwd[1:] + fwd[:-1]) / (2.0 * dx)
-    out[0] = (3.0 * fwd[0] - fwd[1]) / (2.0 * dx)
-    out[-1] = (3.0 * fwd[-1] - fwd[-2]) / (2.0 * dx)
+    out[..., 1:-1] = (fwd[..., 1:] + fwd[..., :-1]) / (2.0 * dx)
+    out[..., 0] = (3.0 * fwd[..., 0] - fwd[..., 1]) / (2.0 * dx)
+    out[..., -1] = (3.0 * fwd[..., -1] - fwd[..., -2]) / (2.0 * dx)
     return out
 
 
@@ -170,7 +182,7 @@ def quantum_potential(polar: PolarField, params: PhysicalParams) -> QuantumPoten
     """U_j = -(hbar^2/2m) * (lap R)_j / R_j, NaN at nodes (and dirichlet ends)."""
     mask = polar.node_mask.copy()
     if polar.grid.boundary == "dirichlet":
-        mask[0] = mask[-1] = True
+        mask[..., 0] = mask[..., -1] = True
     d2R = laplacian(polar.R, polar.grid)
     safe_R = np.where(mask, 1.0, polar.R)
     U = -(params.hbar**2 / (2.0 * params.mass)) * d2R / safe_R
@@ -185,62 +197,54 @@ def universe_density(polar: PolarField) -> np.ndarray:
 
 def record_polars(
     record: "EvolutionRecord", params: PhysicalParams, node_epsilon: float = DEFAULT_NODE_EPSILON
-) -> tuple[PolarField, ...]:
-    """The record's snapshots decomposed, by one decompose call per snapshot.
+) -> PolarField:
+    """The record's snapshots decomposed into one (T, n) stack, one decompose call per row.
 
+    Rows are written into preallocated arrays, so no second copy is held.
     The stack is held on the record keyed by (hbar, node_epsilon); a call
     with another key rebuilds it, so a record holds at most one stack.
     """
     key = (params.hbar, node_epsilon)
     if record._polars is None or record._polars[0] != key:
-        polars = tuple(decompose(wf, params, node_epsilon) for wf in record.snapshots)
-        object.__setattr__(record, "_polars", (key, polars))
+        grid, shape = record.grid, record.amplitudes.shape
+        R, phi, mask = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+        for s, row in enumerate(record.amplitudes):
+            polar = decompose(GridWavefunction(grid, row), params, node_epsilon)
+            R[s], phi[s], mask[s] = polar.R, polar.phi, polar.node_mask
+        object.__setattr__(record, "_polars", (key, PolarField(grid, R, phi, mask)))
     return record._polars[1]
 
 
-def _phase_rate(phi_prev, phi_mid, phi_next, hbar, dt):
-    """Centered time derivative of phi from branch-wrapped increments.
-
-    Per-snapshot unwrapping fixes phi only up to 2*pi*hbar per segment, so
-    raw differences across time are branch-ambiguous; wrapping each pointwise
-    increment removes the ambiguity provided |dphi/dt|*dt < pi*hbar.
-    """
-    period = 2.0 * np.pi * hbar
-    return (_wrap(phi_next - phi_mid, period) + _wrap(phi_mid - phi_prev, period)) / (2.0 * dt)
-
-
-def _residual_core(record, params, node_epsilon, pointwise):
-    if len(record.snapshots) < 3:
-        raise DomainError("residuals need at least 3 snapshots for centered time differences")
-    polars = record_polars(record, params, node_epsilon)
-    grid = record.snapshots[0].grid
-    periodic = grid.boundary == "periodic"
+def _polar_stack(record, params, node_epsilon):
+    """The record's polar stack and time step; centered time differences need 3 snapshots."""
     times = record.times
-    dt = (times[-1] - times[0]) / (len(times) - 1)
+    if times.size < 3:
+        raise DomainError("residuals need at least 3 snapshots for centered time differences")
+    return record_polars(record, params, node_epsilon), (times[-1] - times[0]) / (len(times) - 1)
 
-    rows, masks = [], []
-    for prev_p, mid, next_p in zip(polars, polars[1:], polars[2:]):
-        residual, rate = pointwise(prev_p, mid, next_p, dt)
-        mask = dilate_mask(
-            prev_p.node_mask | mid.node_mask | next_p.node_mask, MASK_DILATION, periodic
-        )
-        if not periodic:
-            mask[:MASK_DILATION] = True
-            mask[-MASK_DILATION:] = True
-        rows.append((residual, rate))
-        masks.append(mask)
 
-    field = np.array([np.where(m, np.nan, r) for (r, _), m in zip(rows, masks)])
-    mask_arr = np.array(masks)
-    keep = ~mask_arr
+def _residual_report(record, polars, residual, rate):
+    """Mask the (T-2, n) residual and rate near nodes (and dirichlet ends) and summarise them.
+
+    The masked residual becomes the report's field in place: each (T-2, n)
+    temporary held here adds to the peak memory of the residual pair.
+    """
+    grid = record.grid
+    periodic = grid.boundary == "periodic"
+    nodes = polars.node_mask
+    mask = dilate_mask(nodes[:-2] | nodes[1:-1] | nodes[2:], MASK_DILATION, periodic)
+    if not periodic:
+        mask[:, :MASK_DILATION] = True
+        mask[:, -MASK_DILATION:] = True
+    keep = ~mask
+    # one sum per time, as a 1-D sum: an axis=1 reduction may round differently
     sq_per_time = [
-        float(np.sum(r[~m] ** 2) * grid.dx) if np.any(~m) else 0.0
-        for (r, _), m in zip(rows, masks)
+        float(np.sum(r[k] ** 2) * grid.dx) if k.any() else 0.0 for r, k in zip(residual, keep)
     ]
     scalar = float(np.sqrt(np.mean(sq_per_time)))
-    rates = np.array([rate for _, rate in rows])
-    scale = float(np.max(np.abs(rates[keep]))) if np.any(keep) else 0.0
-    return ResidualReport(times[1:-1].copy(), field, mask_arr, scalar, scale)
+    scale = float(np.max(np.abs(rate[keep]))) if keep.any() else 0.0
+    residual[mask] = np.nan
+    return ResidualReport(record.times[1:-1].copy(), residual, mask, scalar, scale)
 
 
 def continuity_residual(
@@ -254,14 +258,12 @@ def continuity_residual(
     by the wave equation: R^2 is a conserved density carried by the phase
     flow.
     """
-    grid = record.snapshots[0].grid
-
-    def pointwise(prev_p, mid, next_p, dt):
-        d_density_dt = (next_p.R**2 - prev_p.R**2) / (2.0 * dt)
-        flux = mid.R**2 * phase_gradient(mid.phi, grid, params.hbar) / params.mass
-        return d_density_dt + gradient(flux, grid), d_density_dt
-
-    return _residual_core(record, params, node_epsilon, pointwise)
+    grid = record.grid
+    polars, dt = _polar_stack(record, params, node_epsilon)
+    R = polars.R
+    d_density_dt = (R[2:] ** 2 - R[:-2] ** 2) / (2.0 * dt)
+    flux = phase_gradient(polars.phi[1:-1], grid, params.hbar) * R[1:-1] ** 2 / params.mass
+    return _residual_report(record, polars, d_density_dt + gradient(flux, grid), d_density_dt)
 
 
 def hamilton_jacobi_residual(
@@ -276,24 +278,20 @@ def hamilton_jacobi_residual(
     obeys a classical-looking evolution law, which is the second half of the
     decomposition identity.
     """
-    grid = record.snapshots[0].grid
+    grid = record.grid
     if V.grid != grid:
         raise DomainError("potential grid does not match the record's grid")
-
-    def pointwise(prev_p, mid, next_p, dt):
-        rate = _phase_rate(prev_p.phi, mid.phi, next_p.phi, params.hbar, dt)
-        grad_phi = phase_gradient(mid.phi, grid, params.hbar)
-        safe_R = np.where(mid.node_mask, 1.0, mid.R)
-        curvature = laplacian(mid.R, grid) / safe_R
-        residual = (
-            rate
-            + grad_phi**2 / (2.0 * params.mass)
-            + V.values
-            - (params.hbar**2 / (2.0 * params.mass)) * curvature
-        )
-        return residual, rate
-
-    return _residual_core(record, params, node_epsilon, pointwise)
+    polars, dt = _polar_stack(record, params, node_epsilon)
+    phi, R, period = polars.phi, polars.R[1:-1], 2.0 * np.pi * params.hbar
+    # per-snapshot unwrapping fixes phi only up to 2*pi*hbar per segment; wrapping
+    # each increment removes that ambiguity provided |dphi/dt|*dt < pi*hbar
+    rate = (_wrap(phi[2:] - phi[1:-1], period) + _wrap(phi[1:-1] - phi[:-2], period)) / (2.0 * dt)
+    # rate + (grad phi)^2/2m + V - (hbar^2/2m) lap(R)/R, summed in that order, in place
+    residual = rate + phase_gradient(phi[1:-1], grid, params.hbar) ** 2 / (2.0 * params.mass)
+    residual += V.values
+    curvature = laplacian(R, grid) / np.where(polars.node_mask[1:-1], 1.0, R)
+    residual -= (params.hbar**2 / (2.0 * params.mass)) * curvature
+    return _residual_report(record, polars, residual, rate)
 
 
 def polar_to_csv(polar: PolarField, path) -> None:

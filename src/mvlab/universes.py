@@ -5,7 +5,8 @@ by the velocity v = grad(phi)/m. In one dimension a caustic is exactly a
 change of trajectory ordering, so sorting gives an exact crossing detector;
 the quantum flow never reorders, the classical converging flow does.
 integrate_universes and density_transport_check read madelung.record_polars,
-so each snapshot of a record is decomposed once.
+so each snapshot of a record is decomposed once. The velocity is taken two
+snapshots at a time: a whole-stack velocity would hold another (T, n) array.
 trajectories_to_csv streams an ensemble one recorded time at a time.
 """
 
@@ -118,7 +119,7 @@ def integrate_universes(
     the interpolation error. Trajectories that enter a node neighborhood
     are frozen in place and flagged, not dropped.
     """
-    grid = record.snapshots[0].grid
+    grid = record.grid
     x = np.array(initial_positions, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise DomainError("initial_positions must be a nonempty 1D sequence")
@@ -250,7 +251,7 @@ def density_transport_check(
     if ensemble.times.size != times.size or not np.allclose(ensemble.times, times):
         raise DomainError("ensemble times do not match the record's snapshot times")
     a, b = float(interval[0]), float(interval[1])
-    grid = record.snapshots[0].grid
+    grid = record.grid
     if not (grid.x_min <= a < b <= grid.x_max):
         raise DomainError(f"interval ({a}, {b}) must lie inside the grid and satisfy a < b")
 
@@ -259,9 +260,7 @@ def density_transport_check(
 
     lo, hi = integrate_universes(record, [a, b], params, node_epsilon).positions
     pos = ensemble.positions
-    fractions = np.array(
-        [np.mean((pos[:, t] > lo[t]) & (pos[:, t] < hi[t])) for t in range(times.size)]
-    )
+    fractions = np.mean((pos > lo) & (pos < hi), axis=0)
     deviations = np.abs(fractions - expected)
     m = ensemble.n_trajectories
     return TransportReport(times.copy(), fractions, expected, deviations, 3.0 / np.sqrt(m), m)

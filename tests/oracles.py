@@ -1,7 +1,9 @@
 """Independent analytic oracles used across the test suite.
 
-Everything here is closed-form mathematics evaluated directly; none of it
-routes through the solvers under test.
+Everything here is closed-form mathematics evaluated directly, with two
+exceptions that reuse mvlab's single-snapshot building blocks as a reference
+for how they are combined: branch_correlation (the spin branches) and
+per_snapshot_residual_pair (the residual pair evaluated snapshot by snapshot).
 """
 
 import math
@@ -104,3 +106,61 @@ def branch_correlation(theta: float) -> float:
         b.weight * sign[b.spin_labels[0]] * sign[b.spin_labels[1]]
         for b in apply_measurement(state, unset_pointers())
     )
+
+
+def per_snapshot_residual_pair(record, V, params, node_epsilon):
+    """The continuity and Hamilton-Jacobi reports, one snapshot triple at a time.
+
+    The per-snapshot loop that mvlab.madelung's whole-stack residuals
+    replaced: every snapshot is decomposed on its own and every kernel is
+    applied to one (n,) row. Returns two (times, field, mask, scalar, scale)
+    tuples, continuity first.
+    """
+    from mvlab.fields import gradient, laplacian
+    from mvlab.madelung import MASK_DILATION, decompose, dilate_mask, phase_gradient
+
+    grid = record.grid
+    hbar, mass = params.hbar, params.mass
+    period = 2.0 * np.pi * hbar
+    periodic = grid.boundary == "periodic"
+    polars = [decompose(GridWavefunction(grid, row), params, node_epsilon) for row in record.amplitudes]
+    times = record.times
+    dt = (times[-1] - times[0]) / (len(times) - 1)
+
+    def wrap(delta):
+        return delta - period * np.round(delta / period)
+
+    def continuity(prev_p, mid, next_p):
+        d_density_dt = (next_p.R**2 - prev_p.R**2) / (2.0 * dt)
+        flux = mid.R**2 * phase_gradient(mid.phi, grid, hbar) / mass
+        return d_density_dt + gradient(flux, grid), d_density_dt
+
+    def hamilton_jacobi(prev_p, mid, next_p):
+        rate = (wrap(next_p.phi - mid.phi) + wrap(mid.phi - prev_p.phi)) / (2.0 * dt)
+        grad_phi = phase_gradient(mid.phi, grid, hbar)
+        safe_R = np.where(mid.node_mask, 1.0, mid.R)
+        curvature = laplacian(mid.R, grid) / safe_R
+        residual = rate + grad_phi**2 / (2.0 * mass) + V.values - (hbar**2 / (2.0 * mass)) * curvature
+        return residual, rate
+
+    reports = []
+    for pointwise in (continuity, hamilton_jacobi):
+        rows, masks = [], []
+        for prev_p, mid, next_p in zip(polars, polars[1:], polars[2:]):
+            mask = dilate_mask(prev_p.node_mask | mid.node_mask | next_p.node_mask, MASK_DILATION, periodic)
+            if not periodic:
+                mask[:MASK_DILATION] = True
+                mask[-MASK_DILATION:] = True
+            rows.append(pointwise(prev_p, mid, next_p))
+            masks.append(mask)
+        field = np.array([np.where(m, np.nan, r) for (r, _), m in zip(rows, masks)])
+        mask_arr = np.array(masks)
+        keep = ~mask_arr
+        sq_per_time = [
+            float(np.sum(r[~m] ** 2) * grid.dx) if np.any(~m) else 0.0 for (r, _), m in zip(rows, masks)
+        ]
+        scalar = float(np.sqrt(np.mean(sq_per_time)))
+        rates = np.array([rate for _, rate in rows])
+        scale = float(np.max(np.abs(rates[keep]))) if np.any(keep) else 0.0
+        reports.append((times[1:-1].copy(), field, mask_arr, scalar, scale))
+    return reports

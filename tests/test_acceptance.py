@@ -72,13 +72,9 @@ def report(number: int, ok: bool, text: str) -> None:
     assert ok, line
 
 
-def residual_pair(n_points, dt, stride=25, t_final=1.0):
-    g = SpatialGrid(-16.0, 16.0, n_points)
-    wf0 = make_gaussian_packet(g, 0.0, 1.0, 0.0, PARAMS)
-    rec = evolve_schrodinger(wf0, free_potential(g), PARAMS, dt, int(round(t_final / dt)),
-                             snapshot_stride=stride)
+def residual_pair(rec):
     cont = continuity_residual(rec, PARAMS)
-    hj = hamilton_jacobi_residual(rec, free_potential(g), PARAMS)
+    hj = hamilton_jacobi_residual(rec, free_potential(rec.grid), PARAMS)
     return cont.relative, hj.relative
 
 
@@ -89,9 +85,9 @@ def free_gaussian_record():
     return evolve_schrodinger(wf0, free_potential(g), PARAMS, 1e-3, 2000, snapshot_stride=4)
 
 
-def test_criterion_1_decomposition_equivalence():
-    base_cont, base_hj = residual_pair(2048, 1e-4)
-    fine_cont, fine_hj = residual_pair(4096, 5e-5)
+def test_criterion_1_decomposition_equivalence(refinement_records):
+    base_cont, base_hj = residual_pair(refinement_records[2048])
+    fine_cont, fine_hj = residual_pair(refinement_records[4096])
     ok = (
         base_cont < CONTINUITY_THRESHOLD
         and base_hj < HAMILTON_JACOBI_THRESHOLD

@@ -152,6 +152,34 @@ class TestGuards:
         assert status == EXIT_GUARD
         assert not out.exists()
 
+    # each value squared overflows a float: refused by the constructor that owns it
+    @pytest.mark.parametrize("experiment, overrides", [
+        ("evolve", ["sigma=1e308"]),
+        ("evolve", ["potential=harmonic", "omega=1e200"]),
+        ("decompose", ["hbar=1e300"]),
+        ("evolve", ["boundary=dirichlet", "hbar=1e300"]),
+    ])
+    def test_overflowing_square_exits_2(self, tmp_path, capsys, experiment, overrides):
+        out = tmp_path / "out"
+        sets = [arg for override in overrides for arg in ("--set", override)]
+        status = run_cli(experiment, "--config", str(CONFIGS / f"{experiment}.json"), *sets,
+                         "--out-dir", str(out))
+        assert status == EXIT_CONFIG
+        assert "finite square" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unanticipated_arithmetic_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        def overflowing(p):
+            return 1e300**2
+
+        monkeypatch.setitem(EXPERIMENTS, "evolve", (EXPERIMENTS["evolve"][0], overflowing))
+        out = tmp_path / "out"
+        status = run_cli("evolve", "--config", str(CONFIGS / "evolve.json"), "--out-dir", str(out))
+        assert status == EXIT_GUARD
+        err = capsys.readouterr().err
+        assert "OverflowError" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
 
 class TestRuns:
     def test_spin_split_right_angle_four_quarter_weights(self, tmp_path):

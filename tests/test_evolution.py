@@ -10,6 +10,7 @@ from oracles import coherent_state, discrete_harmonic_ground_state, free_gaussia
 
 from mvlab.errors import DomainError, StabilityError
 from mvlab.evolution import (
+    EvolutionRecord,
     _crank_nicolson_stepper,
     classical_ensemble_evolve,
     evolve_schrodinger,
@@ -113,7 +114,7 @@ class TestSplitStep:
         wf0 = make_gaussian_packet(g, 0.0, 1.0, 0.0, PARAMS)
         rec = evolve_schrodinger(wf0, free_potential(g), PARAMS, 1e-3, 0)
         assert len(rec.snapshots) == 1
-        assert rec.snapshots[0] is wf0
+        assert np.array_equal(rec.amplitudes[0], wf0.amplitudes)
         assert rec.times[0] == 0.0
 
     def test_plane_wave_is_an_eigenstate(self):
@@ -282,6 +283,53 @@ class TestGuards:
         wf0 = make_gaussian_packet(g, 0.0, 3.0, 0.0, PARAMS)
         rec = evolve_schrodinger(wf0, free_potential(g), PARAMS, 1e-3, 2000)
         assert len(rec.snapshots) <= 513
+
+
+class TestRecord:
+    """A record is one (T, n) array, validated once as a whole."""
+
+    @staticmethod
+    def record():
+        g = SpatialGrid(-16.0, 16.0, 128)
+        wf0 = make_gaussian_packet(g, 0.0, 1.0, 0.5, PARAMS)
+        return evolve_schrodinger(wf0, free_potential(g), PARAMS, 1e-3, 40, snapshot_stride=10)
+
+    @staticmethod
+    def rebuilt(rec, amplitudes):
+        return EvolutionRecord(rec.params, rec.potential, rec.dt, rec.snapshot_stride, rec.times, amplitudes)
+
+    def test_one_read_only_stack(self):
+        rec = self.record()
+        assert rec.amplitudes.shape == (5, 128) and rec.grid is rec.potential.grid
+        with pytest.raises(ValueError):
+            rec.amplitudes[1, 3] = 0.0
+
+    def test_snapshots_are_the_rows(self):
+        rec = self.record()
+        assert len(rec.snapshots) == len(rec.amplitudes)
+        for k, wf in enumerate(rec.snapshots):
+            assert wf.grid == rec.grid and np.array_equal(wf.amplitudes, rec.amplitudes[k])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_stack_refused(self, value):
+        rec = self.record()
+        amps = rec.amplitudes.copy()
+        amps[2, 7] = value
+        with pytest.raises(DomainError, match="NaN or Inf"):
+            self.rebuilt(rec, amps)
+
+    def test_norm_drift_refused(self):
+        rec = self.record()
+        amps = rec.amplitudes.copy()
+        amps[-1] *= 1.0 + 1e-7
+        with pytest.raises(DomainError, match="unitarity"):
+            self.rebuilt(rec, amps)
+
+    def test_shape_must_match_times_and_grid(self):
+        rec = self.record()
+        for amps in (rec.amplitudes[:-1], rec.amplitudes[:, :-1], rec.amplitudes[0]):
+            with pytest.raises(DomainError, match="shape"):
+                self.rebuilt(rec, amps)
 
 
 class TestUnitarityInvariant:

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from corpus import corpus
-from oracles import discrete_harmonic_ground_state, gaussian_quantum_potential
+from oracles import discrete_harmonic_ground_state, gaussian_quantum_potential, per_snapshot_residual_pair
 
 import mvlab.madelung
 from mvlab.cli import EXIT_OK, ExperimentConfig, run
@@ -18,7 +19,9 @@ from mvlab.fields import (
     PhysicalParams,
     SpatialGrid,
     free_potential,
+    gradient,
     harmonic_potential,
+    laplacian,
     make_gaussian_packet,
     make_plane_wave,
     norm_squared,
@@ -28,7 +31,9 @@ from mvlab.madelung import (
     PolarField,
     continuity_residual,
     decompose,
+    dilate_mask,
     hamilton_jacobi_residual,
+    phase_gradient,
     quantum_potential,
     recompose,
     record_polars,
@@ -312,18 +317,18 @@ class TestResiduals:
         assert continuity_residual(rec, PARAMS).scalar < 1e-8
         assert hamilton_jacobi_residual(rec, V, PARAMS).scalar < 1e-8
 
-    def test_free_gaussian_thresholds_from_refinement_study(self):
+    def test_free_gaussian_thresholds_from_refinement_study(self, refinement_records):
         # thresholds frozen by the pre-build refinement study: measured
         # 8.23e-5 (transport) and 2.41e-4 (phase law) at this resolution
-        rec, g = self.free_gaussian_record()
+        rec = refinement_records[2048]
         cont = continuity_residual(rec, PARAMS)
-        hj = hamilton_jacobi_residual(rec, free_potential(g), PARAMS)
+        hj = hamilton_jacobi_residual(rec, free_potential(rec.grid), PARAMS)
         assert cont.relative < 1.5e-4
         assert hj.relative < 4.0e-4
 
-    def test_second_order_decrease_under_refinement(self):
-        base_rec, base_g = self.free_gaussian_record(2048, 1e-4)
-        fine_rec, fine_g = self.free_gaussian_record(4096, 5e-5)
+    def test_second_order_decrease_under_refinement(self, refinement_records):
+        base_rec, fine_rec = refinement_records[2048], refinement_records[4096]
+        base_g, fine_g = base_rec.grid, fine_rec.grid
         for make, args in (
             (continuity_residual, ()),
             (hamilton_jacobi_residual, None),
@@ -397,7 +402,7 @@ class TestRecordPolars:
     def test_stack_equals_per_snapshot_decompose(self):
         rec = odd_record()
         polars = record_polars(rec, PARAMS, 1e-3)
-        assert isinstance(polars, tuple) and len(polars) == len(rec.snapshots)
+        assert polars.R.shape == rec.amplitudes.shape and len(polars) == len(rec.snapshots)
         for polar, wf in zip(polars, rec.snapshots):
             ref = decompose(wf, PARAMS, 1e-3)
             assert np.array_equal(polar.R, ref.R) and np.array_equal(polar.phi, ref.phi)
@@ -440,3 +445,78 @@ class TestRecordPolars:
         # another node_epsilon rebuilds the held stack, and back again
         self.assert_same(self.outputs(rec, 1e-3), self.outputs(odd_record(), 1e-3))
         self.assert_same(self.outputs(rec), self.outputs(odd_record()))
+
+    def test_stack_indexing(self):
+        rec = odd_record()
+        polars = record_polars(rec, PARAMS)
+        assert len(polars) == len(rec.times) and polars[-1].R.shape == (rec.grid.n_points,)
+        single = polars[0]
+        with pytest.raises(TypeError):
+            len(single)
+        with pytest.raises(DomainError):
+            single[0]
+        with pytest.raises(DomainError, match="shape of R"):
+            PolarField(rec.grid, polars.R, polars.phi[:-1], polars.node_mask)
+
+
+def free_gaussian_case():
+    g = SpatialGrid(-16.0, 16.0, 512)
+    wf0 = make_gaussian_packet(g, 0.0, 1.0, 0.5, PARAMS)
+    V = free_potential(g)
+    return evolve_schrodinger(wf0, V, PARAMS, 1e-3, 200, snapshot_stride=10), V
+
+
+def ground_state_case():
+    g = SpatialGrid(-12.0, 12.0, 512, "dirichlet")
+    V = harmonic_potential(g, 1.0, PARAMS)
+    wf0, _ = discrete_harmonic_ground_state(g, 1.0)
+    return evolve_schrodinger(wf0, V, PARAMS, 1e-4, 200, snapshot_stride=10), V
+
+
+def odd_case():
+    rec = odd_record()
+    return rec, free_potential(rec.grid)
+
+
+@pytest.mark.parametrize("case, node_epsilon", [
+    (free_gaussian_case, 1e-6),
+    (ground_state_case, 1e-6),
+    (odd_case, 1e-6),
+    (odd_case, 1e-3),
+])
+def test_stacked_residuals_equal_the_per_snapshot_loop(case, node_epsilon):
+    rec, V = case()
+    reports = (continuity_residual(rec, PARAMS, node_epsilon),
+               hamilton_jacobi_residual(rec, V, PARAMS, node_epsilon))
+    for report, expected in zip(reports, per_snapshot_residual_pair(rec, V, PARAMS, node_epsilon), strict=True):
+        times, field, mask, scalar, scale = expected
+        for got, want in ((report.times, times), (report.field, field), (report.mask, mask)):
+            assert got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+        assert report.scalar == scalar and report.scale == scale
+        assert report.mask.any() and not report.mask.all()  # both branches of the mask are exercised
+
+
+@st.composite
+def stacks(draw):
+    """A grid of either boundary, a random (T, n) float stack and a random (T, n) mask."""
+    T, n = draw(st.integers(1, 5)), draw(st.integers(8, 40))
+    grid = SpatialGrid(-4.0, 4.0, n, draw(st.sampled_from(["periodic", "dirichlet"])))
+    values = draw(arrays(np.float64, (T, n), elements=st.floats(-1e3, 1e3)))
+    mask = draw(arrays(bool, (T, n)))
+    return grid, values, mask
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacks(), st.floats(0.1, 10.0), st.integers(0, 3))
+def test_kernels_on_a_stack_equal_row_by_row(case, hbar, cells):
+    grid, values, mask = case
+    kernels = (
+        lambda v: gradient(v, grid),
+        lambda v: laplacian(v, grid),
+        lambda v: phase_gradient(v, grid, hbar),
+    )
+    for kernel in kernels:
+        assert np.array_equal(kernel(values), np.stack([kernel(row) for row in values]))
+    periodic = grid.boundary == "periodic"
+    dilated = dilate_mask(mask, cells, periodic)
+    assert np.array_equal(dilated, np.stack([dilate_mask(row, cells, periodic) for row in mask]))
