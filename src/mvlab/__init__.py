@@ -77,5 +77,6 @@ from .universes import (
     density_transport_check,
     integrate_universes,
     stratified_positions,
+    transport_interval,
     velocity_field,
 )

@@ -68,11 +68,13 @@ from .spins import (
     unset_pointers,
 )
 from .universes import (
+    TrajectoryEnsemble,
     crossing_count,
     density_transport_check,
     integrate_universes,
     stratified_positions,
     trajectories_to_csv,
+    transport_interval,
 )
 
 EXIT_OK = 0
@@ -229,11 +231,13 @@ def _run_universes(p):
         wf0, free_potential(grid), params, p["dt"], p["n_steps"], p["snapshot_stride"]
     )
     polar0 = record_polars(record, params, p["node_epsilon"])[0]
-    starts = stratified_positions(polar0, p["n_trajectories"])
-    ensemble = integrate_universes(record, starts, params, p["node_epsilon"])
-    report = density_transport_check(
-        record, ensemble, (p["interval_a"], p["interval_b"]), params, p["node_epsilon"]
-    )
+    m = p["n_trajectories"]
+    starts = stratified_positions(polar0, m)
+    ends = transport_interval(grid, (p["interval_a"], p["interval_b"]))
+    # one integration for the ensemble and the interval's endpoints; the rows are views
+    run = integrate_universes(record, np.concatenate((starts, ends)), params, p["node_epsilon"])
+    ensemble = TrajectoryEnsemble(run.times, run.positions[:m], run.kind, frozen_at=run.frozen_at[:m])
+    report = density_transport_check(record, ensemble, run.positions[m:], params, p["node_epsilon"])
     expected = np.full(report.times.size, report.expected)
     transport = (report.times, report.fractions, expected, report.deviations)
     return {

@@ -205,13 +205,22 @@ def laplacian(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     return out
 
 
-def interpolator(grid: SpatialGrid, values: np.ndarray):
-    """Linear interpolant of grid samples in position; periodic grids wrap the position."""
-    x = grid.points
-    if grid.boundary == "periodic":
-        xs, vs = np.append(x, grid.x_max), np.append(values, values[0])
-        return lambda pos: np.interp(grid.x_min + np.mod(pos - grid.x_min, grid.length), xs, vs)
-    return lambda pos: np.interp(pos, x, values)
+def interpolator(grid: SpatialGrid, values):
+    """Linear interpolant of grid samples in position; periodic grids wrap the position.
+
+    A (k, n) stack along the last axis gives a list of k rows per call, from
+    one wrap of the positions; each row equals its own (n,) interpolant's.
+    """
+    x, vs, periodic = grid.points, np.asarray(values), grid.boundary == "periodic"
+    if periodic:
+        x, vs = np.append(x, grid.x_max), np.concatenate((vs, vs[..., :1]), axis=-1)
+
+    def interp(pos):
+        if periodic:
+            pos = grid.x_min + np.mod(pos - grid.x_min, grid.length)
+        return np.interp(pos, x, vs) if vs.ndim == 1 else [np.interp(pos, x, row) for row in vs]
+
+    return interp
 
 
 def _csv_text(column):
@@ -231,12 +240,16 @@ def write_csv(path, header: str, blocks) -> None:
     value, so a float64 prints in its shortest round-trip form (``nan``,
     ``inf`` and ``-0.0`` included), an integer as its digits and a bool as
     0 or 1. Any other column is a sequence of strings written as they are.
+    A block's fields and separators are slotted into one list and joined
+    once, with no per-row string.
     """
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
         for block in blocks:
-            rows = zip(*map(_csv_text, block), strict=True)
-            fh.write("".join([",".join(row) + "\n" for row in rows]))
+            text = ([None, ","] * (len(block) - 1) + [None, "\n"]) * len(block[0])
+            for j, column in enumerate(block):  # a column of another length raises ValueError
+                text[2 * j :: 2 * len(block)] = _csv_text(column)
+            fh.write("".join(text))
 
 
 def wavefunction_to_csv(wf: GridWavefunction, path) -> None:

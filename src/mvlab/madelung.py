@@ -296,6 +296,8 @@ def hamilton_jacobi_residual(
 
 def polar_to_csv(polar: PolarField, path) -> None:
     """Write columns x,R,phi,mask with LF line endings."""
+    if polar.R.ndim != 1:
+        raise DomainError("polar_to_csv writes one snapshot, not a (T, n) stack: pass polar[s]")
     write_csv(path, "x,R,phi,mask", [(polar.grid.points, polar.R, polar.phi, polar.node_mask)])
 
 

@@ -1,9 +1,10 @@
 """Independent analytic oracles used across the test suite.
 
-Everything here is closed-form mathematics evaluated directly, with two
+Everything here is closed-form mathematics evaluated directly, with three
 exceptions that reuse mvlab's single-snapshot building blocks as a reference
-for how they are combined: branch_correlation (the spin branches) and
-per_snapshot_residual_pair (the residual pair evaluated snapshot by snapshot).
+for how they are combined: branch_correlation (the spin branches),
+per_snapshot_residual_pair (the residual pair evaluated snapshot by snapshot)
+and per_snapshot_universes (the trajectory integration, likewise).
 """
 
 import math
@@ -164,3 +165,66 @@ def per_snapshot_residual_pair(record, V, params, node_epsilon):
         scale = float(np.max(np.abs(rates[keep]))) if np.any(keep) else 0.0
         reports.append((times[1:-1].copy(), field, mask_arr, scalar, scale))
     return reports
+
+
+def per_snapshot_universes(record, starts, params, node_epsilon):
+    """integrate_universes' positions and frozen_at, one snapshot at a time.
+
+    The loop that mvlab.universes' blocked velocity replaced: every snapshot
+    is decomposed on its own, its velocity derived from one (n,) row, each
+    RK4 stage reads two single-row interpolants, each of which wraps the
+    positions itself, and the node zone is looked up at both ends of a cell.
+    """
+    from mvlab.fields import interpolator
+    from mvlab.madelung import decompose
+    from mvlab.universes import velocity_field
+
+    grid = record.grid
+    n = grid.n_points
+
+    def zone_lookup(zone):
+        def in_zone(pos):
+            if grid.boundary == "periodic":
+                idx = np.floor((np.mod(pos - grid.x_min, grid.length)) / grid.dx).astype(int)
+                idx = np.clip(idx, 0, n - 1)
+                nxt = (idx + 1) % n
+            else:
+                idx = np.clip(np.floor((pos - grid.x_min) / grid.dx).astype(int), 0, n - 1)
+                nxt = np.clip(idx + 1, 0, n - 1)
+            return zone[idx] | zone[nxt]
+
+        return in_zone
+
+    def flow(row):
+        v = velocity_field(decompose(GridWavefunction(grid, row), params, node_epsilon), params)
+        zone = np.isnan(v)
+        return interpolator(grid, np.where(zone, 0.0, v)), zone
+
+    x = np.array(starts, dtype=np.float64)
+    times = record.times
+    positions = np.empty((x.size, times.size))
+    positions[:, 0] = x
+    frozen = np.zeros(x.size, dtype=bool)
+    frozen_at = np.full(x.size, np.nan)
+    interp1, zone1 = flow(record.amplitudes[0])
+    for s in range(times.size - 1):
+        t0, t1 = times[s], times[s + 1]
+        interp0, zone0 = interp1, zone1
+        interp1, zone1 = flow(record.amplitudes[s + 1])
+        in_zone = zone_lookup(zone0 | zone1)
+        h = t1 - t0
+
+        def vel(pos, t):
+            w = (t - t0) / (t1 - t0)
+            return (1.0 - w) * interp0(pos) + w * interp1(pos)
+
+        k1 = vel(x, t0)
+        k2 = vel(x + 0.5 * h * k1, t0 + 0.5 * h)
+        k3 = vel(x + 0.5 * h * k2, t0 + 0.5 * h)
+        k4 = vel(x + h * k3, t0 + h)
+        x = np.where(frozen, x, x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        newly = ~frozen & in_zone(x)
+        frozen_at[newly] = t0 + h
+        frozen |= newly
+        positions[:, s + 1] = x
+    return positions, frozen_at

@@ -152,10 +152,11 @@ def test_criterion_4_caustic_contrast(free_gaussian_record):
 
 def test_criterion_5_density_transport(free_gaussian_record):
     polar0 = decompose(free_gaussian_record.snapshots[0], PARAMS)
+    ends = integrate_universes(free_gaussian_record, [-1.0, 1.0], PARAMS)
     results = {}
     for m in (2500, 10000):
         ensemble = integrate_universes(free_gaussian_record, stratified_positions(polar0, m), PARAMS)
-        results[m] = density_transport_check(free_gaussian_record, ensemble, (-1.0, 1.0), PARAMS)
+        results[m] = density_transport_check(free_gaussian_record, ensemble, ends.positions, PARAMS)
     ok = (
         results[10000].max_deviation < results[10000].bound
         and results[2500].max_deviation < results[2500].bound

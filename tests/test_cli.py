@@ -168,6 +168,26 @@ class TestGuards:
         assert "finite square" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_universes_interval_outside_grid_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        status = run_cli("universes", "--config", str(CONFIGS / "universes.json"),
+                         "--set", "interval_a=-100", "--out-dir", str(out))
+        assert status == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "interval (-100.0, 1.0) must lie inside the grid and satisfy a < b" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()  # so no "status": "ok" manifest either
+
+    def test_universes_interval_endpoint_on_a_node_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        # R(-15)/R(0) = exp(-225/4) is far below node_epsilon: a node neighbourhood
+        status = run_cli("universes", "--config", str(CONFIGS / "universes.json"),
+                         "--set", "interval_a=-15", "--out-dir", str(out))
+        assert status == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "avoid node neighborhoods" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_unanticipated_arithmetic_error_exits_3(self, tmp_path, capsys, monkeypatch):
         def overflowing(p):
             return 1e300**2

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvlab.errors import CommensurabilityError, DomainError, ResolutionError
 from mvlab.fields import (
@@ -7,6 +9,7 @@ from mvlab.fields import (
     PhysicalParams,
     SpatialGrid,
     gradient,
+    interpolator,
     laplacian,
     make_gaussian_packet,
     make_plane_wave,
@@ -160,6 +163,35 @@ class TestDerivatives:
         assert np.allclose(laplacian(f, g), 6.0, atol=1e-9)
 
 
+FINITE = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+class TestInterpolator:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        boundary=st.sampled_from(["periodic", "dirichlet"]),
+        n=st.integers(8, 40),
+        k=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_stack_rows_equal_single_rows_bitwise(self, boundary, n, k, data):
+        g = grid(n=n, lo=-3.0, hi=5.0, boundary=boundary)
+        rows = [np.array(data.draw(st.lists(FINITE, min_size=n, max_size=n))) for _ in range(k)]
+        # positions beyond the grid on both sides: periodic ones wrap, dirichlet ones clamp
+        pos = np.array(data.draw(st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=30)))
+        stacked = interpolator(g, np.stack(rows))(pos)
+        assert len(stacked) == k
+        for row, got in zip(rows, stacked):
+            assert got.tobytes() == interpolator(g, row)(pos).tobytes()
+
+    def test_periodic_wraps_and_dirichlet_clamps(self):
+        values = np.arange(8.0)
+        at = np.array([-1.0, 0.5, 7.5, 8.0, 9.0])
+        assert np.array_equal(interpolator(grid(8, 0.0, 8.0), values)(at), [7.0, 0.5, 3.5, 0.0, 1.0])
+        dirichlet = grid(8, 0.0, 8.0, "dirichlet")
+        assert np.array_equal(interpolator(dirichlet, values)(at), [0.0, 0.5, 7.0, 7.0, 7.0])
+
+
 class TestCsv:
     def test_header_and_shape(self, tmp_path):
         g = grid(n=16, lo=-4.0, hi=4.0)
@@ -209,3 +241,7 @@ class TestWriteCsv:
     def test_unequal_columns_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_csv(tmp_path / "out.csv", "a,b", [(self.FLOATS, self.INTS[:3])])
+
+    def test_longer_later_column_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "out.csv", "a,b", [(self.FLOATS[:3], self.INTS)])

@@ -34,6 +34,7 @@ from mvlab.madelung import (
     dilate_mask,
     hamilton_jacobi_residual,
     phase_gradient,
+    polar_to_csv,
     quantum_potential,
     recompose,
     record_polars,
@@ -388,7 +389,8 @@ class TestRecordPolars:
                    hamilton_jacobi_residual(rec, V, PARAMS, node_epsilon)]
         starts = stratified_positions(decompose(rec.snapshots[0], PARAMS, node_epsilon), 40)
         ens = integrate_universes(rec, starts, PARAMS, node_epsilon)
-        report = density_transport_check(rec, ens, (-3.0, -1.0), PARAMS, node_epsilon)
+        ends = integrate_universes(rec, [-3.0, -1.0], PARAMS, node_epsilon).positions
+        report = density_transport_check(rec, ens, ends, PARAMS, node_epsilon)
         arrays = [a for r in reports for a in (r.times, r.field, r.mask)]
         arrays += [ens.positions, ens.frozen_at, report.fractions, report.deviations]
         scalars = [v for r in reports for v in (r.scalar, r.scale)] + [report.expected]
@@ -422,13 +424,23 @@ class TestRecordPolars:
         assert record_polars(rec, PARAMS) is not first  # only the latest stack was held
         assert calls["decompose"] == 4 * T
 
+    def test_polar_to_csv_refuses_a_stack_before_writing(self, tmp_path):
+        polars = record_polars(odd_record(), PARAMS)
+        path = tmp_path / "polar.csv"
+        with pytest.raises(DomainError, match="one snapshot"):
+            polar_to_csv(polars, path)
+        assert not path.exists()
+        polar_to_csv(polars[2], path)
+        assert len(path.read_text().splitlines()) == 1 + polars.R.shape[1]
+
     def test_consumers_decompose_each_snapshot_once(self, calls):
         rec = odd_record()
         V = free_potential(rec.grid)
         continuity_residual(rec, PARAMS)
         hamilton_jacobi_residual(rec, V, PARAMS)
         ens = integrate_universes(rec, stratified_positions(record_polars(rec, PARAMS)[0], 40), PARAMS)
-        density_transport_check(rec, ens, (-3.0, -1.0), PARAMS)
+        ends = integrate_universes(rec, [-3.0, -1.0], PARAMS).positions
+        density_transport_check(rec, ens, ends, PARAMS)
         assert calls["decompose"] == len(rec.snapshots)
 
     def test_cli_universes_decomposes_each_snapshot_once(self, calls, tmp_path):

@@ -1,24 +1,32 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     discrete_harmonic_ground_state,
     free_gaussian_trajectory,
     free_gaussian_velocity,
+    per_snapshot_universes,
 )
 
 from mvlab.errors import DomainError
 from mvlab.evolution import classical_ensemble_evolve, evolve_schrodinger
 from mvlab.fields import (
+    GridWavefunction,
     PhysicalParams,
     SpatialGrid,
     free_potential,
     harmonic_potential,
     make_gaussian_packet,
     make_plane_wave,
+    normalize,
 )
-from mvlab.madelung import MASK_DILATION, decompose, dilate_mask
+from mvlab.madelung import MASK_DILATION, decompose, dilate_mask, record_polars
 from mvlab.universes import (
+    VELOCITY_BLOCK,
     TrajectoryEnsemble,
     crossing_count,
     density_transport_check,
@@ -36,6 +44,21 @@ def free_gaussian_record(n=2048, dt=1e-3, n_steps=2000, stride=4, sigma=1.0):
     wf0 = make_gaussian_packet(g, 0.0, sigma, 0.0, PARAMS)
     rec = evolve_schrodinger(wf0, free_potential(g), PARAMS, dt, n_steps, snapshot_stride=stride)
     return rec, g
+
+
+@functools.lru_cache(maxsize=None)
+def colliding_record(boundary):
+    """Two packets meeting at x=0 on 256 points, 41 snapshots: interference makes nodes."""
+    g = SpatialGrid(-20.0, 20.0, 256, boundary)
+    plus = make_gaussian_packet(g, 3.0, 1.0, -2.0, PARAMS)
+    minus = make_gaussian_packet(g, -3.0, 1.0, 2.0, PARAMS)
+    wf0 = normalize(GridWavefunction(g, plus.amplitudes + minus.amplitudes))
+    return evolve_schrodinger(wf0, free_potential(g), PARAMS, 2e-3, 1000, snapshot_stride=25)
+
+
+def endpoints(rec, a, b):
+    """Rows of the trajectories started at a and b, the transport check's interval."""
+    return integrate_universes(rec, [a, b], PARAMS).positions
 
 
 def loop_trajectories_csv(ensemble):
@@ -153,6 +176,45 @@ class TestIntegrateUniverses:
             integrate_universes(rec, [50.0], PARAMS)
 
 
+class TestOnePass:
+    """integrate_universes derives velocity in blocks and wraps once per RK4 stage."""
+
+    @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+    def test_blocks_equal_the_per_snapshot_loop(self, boundary):
+        rec = colliding_record(boundary)
+        assert len(rec.times) % VELOCITY_BLOCK and len(rec.times) > VELOCITY_BLOCK  # a partial block
+        starts = np.concatenate((np.linspace(-5.0, -1.0, 15), np.linspace(1.0, 5.0, 15)))
+        ens = integrate_universes(rec, starts, PARAMS, 1e-2)
+        positions, frozen_at = per_snapshot_universes(rec, starts, PARAMS, 1e-2)
+        assert ens.positions.tobytes() == positions.tobytes()
+        assert ens.frozen_at.tobytes() == frozen_at.tobytes()
+        if boundary == "periodic":
+            assert np.isfinite(ens.frozen_at).any()  # the freeze path is exercised
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        boundary=st.sampled_from(["periodic", "dirichlet"]),
+        node_epsilon=st.sampled_from([1e-6, 1e-2]),
+        starts=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=12),
+        ends=st.lists(st.floats(-6.0, 6.0), min_size=2, max_size=2),
+    )
+    def test_endpoints_riding_along_equal_separate_calls(self, boundary, node_epsilon, starts, ends):
+        rec = colliding_record(boundary)
+        both = integrate_universes(rec, starts + ends, PARAMS, node_epsilon)
+        m = len(starts)
+        for rows, alone in ((slice(None, m), starts), (slice(m, None), ends)):
+            separate = integrate_universes(rec, alone, PARAMS, node_epsilon)
+            assert both.positions[rows].tobytes() == separate.positions.tobytes()
+            assert both.frozen_at[rows].tobytes() == separate.frozen_at.tobytes()
+
+    def test_ensemble_keeps_a_read_only_view(self):
+        rec = colliding_record("periodic")
+        both = integrate_universes(rec, [-2.0, -1.0, 1.0, 2.0], PARAMS)
+        head = TrajectoryEnsemble(both.times, both.positions[:2], "bohmian", frozen_at=both.frozen_at[:2])
+        assert np.shares_memory(head.positions, both.positions)
+        assert not head.positions.flags.writeable
+
+
 class TestCrossingCount:
     def test_converging_classical_ensemble_crosses(self):
         g = SpatialGrid(-10.0, 10.0, 256)
@@ -198,6 +260,12 @@ class TestStratifiedPositions:
         expected = (np.arange(1000) + 0.5) / 1000
         assert np.max(np.abs(at_samples - expected)) < 2e-3
 
+    def test_needs_one_snapshot(self):
+        polars = record_polars(colliding_record("periodic"), PARAMS)
+        with pytest.raises(DomainError, match="one snapshot"):
+            stratified_positions(polars, 10)
+        assert stratified_positions(polars[0], 10).shape == (10,)
+
 
 class TestDensityTransport:
     def test_free_gaussian_interval_mass_conserved(self):
@@ -205,7 +273,7 @@ class TestDensityTransport:
         polar0 = decompose(rec.snapshots[0], PARAMS)
         starts = stratified_positions(polar0, 10000)
         ens = integrate_universes(rec, starts, PARAMS)
-        report = density_transport_check(rec, ens, (-1.0, 1.0), PARAMS)
+        report = density_transport_check(rec, ens, endpoints(rec, -1.0, 1.0), PARAMS)
         assert report.max_deviation < report.bound
         assert report.bound == 3.0 / np.sqrt(10000)
 
@@ -217,7 +285,7 @@ class TestDensityTransport:
         polar0 = decompose(rec.snapshots[0], PARAMS)
         starts = stratified_positions(polar0, 2000)
         ens = integrate_universes(rec, starts, PARAMS)
-        report = density_transport_check(rec, ens, (-4.0, 4.0), PARAMS)
+        report = density_transport_check(rec, ens, endpoints(rec, -4.0, 4.0), PARAMS)
         assert report.max_deviation < 1.0 / np.sqrt(2000)
 
     def test_stationary_state_fraction_constant(self):
@@ -228,7 +296,7 @@ class TestDensityTransport:
         polar0 = decompose(rec.snapshots[0], PARAMS)
         starts = stratified_positions(polar0, 2000)
         ens = integrate_universes(rec, starts, PARAMS)
-        report = density_transport_check(rec, ens, (-1.0, 1.0), PARAMS)
+        report = density_transport_check(rec, ens, endpoints(rec, -1.0, 1.0), PARAMS)
         assert np.max(np.abs(report.fractions - report.fractions[0])) < 1.0 / np.sqrt(2000)
 
     def test_deviation_bound_halves_when_m_quadruples(self):
@@ -238,7 +306,7 @@ class TestDensityTransport:
         for m in (2500, 10000):
             starts = stratified_positions(polar0, m)
             ens = integrate_universes(rec, starts, PARAMS)
-            reports[m] = density_transport_check(rec, ens, (-1.0, 1.0), PARAMS)
+            reports[m] = density_transport_check(rec, ens, endpoints(rec, -1.0, 1.0), PARAMS)
         assert reports[10000].bound == reports[2500].bound / 2.0
         assert reports[2500].max_deviation < reports[2500].bound
         assert reports[10000].max_deviation < reports[10000].bound
@@ -249,13 +317,22 @@ class TestDensityTransport:
         polar0 = decompose(rec.snapshots[0], PARAMS)
         ens = integrate_universes(rec, stratified_positions(polar0, 100), PARAMS)
         with pytest.raises(DomainError):
-            density_transport_check(other, ens, (-1.0, 1.0), PARAMS)
+            density_transport_check(other, ens, endpoints(rec, -1.0, 1.0), PARAMS)
+
+    def test_rejects_bad_endpoints(self):
+        rec, _ = free_gaussian_record(n=512, dt=1e-3, n_steps=100, stride=10)
+        starts = stratified_positions(decompose(rec.snapshots[0], PARAMS), 100)
+        ens = integrate_universes(rec, starts, PARAMS)
+        with pytest.raises(DomainError, match="a < b"):
+            density_transport_check(rec, ens, endpoints(rec, 1.0, -1.0), PARAMS)
+        with pytest.raises(DomainError, match="shape"):
+            density_transport_check(rec, ens, endpoints(rec, -1.0, 1.0)[:, 1:], PARAMS)
 
     def test_rejects_classical_ensemble(self):
         rec, _ = free_gaussian_record(n=512, dt=1e-3, n_steps=100, stride=10)
         ens = TrajectoryEnsemble(rec.times, np.zeros((3, len(rec.times))), "classical")
         with pytest.raises(DomainError):
-            density_transport_check(rec, ens, (-1.0, 1.0), PARAMS)
+            density_transport_check(rec, ens, np.zeros((2, len(rec.times))), PARAMS)
 
 
 class TestTrajectoriesCsv:
