@@ -21,18 +21,23 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .fields import write_csv
+from .fields import _freeze, write_csv
 
 ENUMERATION_CAP = 20
 _EXACT_COMB_LIMIT = 400  # beyond this the binomial coefficient leaves float range
 _CSV_CHUNK_ROWS = 2**12  # rows per CSV block: bounds the text held in memory
 
 
-def _check_probability(p: float) -> float:
-    p = float(p)
-    if not (0.0 <= p <= 1.0):
+def _checked(N: int, p) -> float:
+    """p as a float, once N >= 1 and p in [0, 1] hold; NaN and inf p are refused.
+
+    p is compared as given, so a Fraction p is checked exactly.
+    """
+    if N < 1:
+        raise DomainError(f"N must be >= 1, got {N}")
+    if not (0 <= p <= 1):
         raise DomainError(f"p must lie in [0, 1], got {p}")
-    return p
+    return float(p)
 
 
 @dataclass(frozen=True)
@@ -66,7 +71,7 @@ class BranchSequence:
 
 def sequence_weight(s: BranchSequence, p: float) -> float:
     """Weight p^r * (1-p)^(N-r) of one outcome sequence."""
-    p = _check_probability(p)
+    p = _checked(s.n, p)
     r = s.aligned_count
     return p**r * (1.0 - p) ** (s.n - r)
 
@@ -86,7 +91,7 @@ class BranchTree:
     weights[k] belongs to the sequence whose i-th outcome is bit i of k
     (so bit 0 is the first measurement). Every sequence occurs exactly once
     and the weights sum to one: the tree is the complete post-measurement
-    state, not a sample from it.
+    state, not a sample from it. weights is copied and made read-only.
     """
 
     N: int
@@ -94,13 +99,9 @@ class BranchTree:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=np.float64)
-        if w.shape != (2**self.N,):
-            raise DomainError(f"need exactly 2^{self.N} weights, got shape {w.shape}")
+        w = _freeze(self, "weights", np.array(self.weights, dtype=np.float64), (2**self.N,))
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise DomainError(f"branch weights must sum to 1, got {w.sum()}")
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
 
     def sequence(self, k: int) -> BranchSequence:
         return BranchSequence(tuple(bool((k >> i) & 1) for i in range(self.N)))
@@ -132,9 +133,7 @@ class BranchTree:
 
 def enumerate_branch_tree(N: int, p: float) -> BranchTree:
     """Materialize all 2^N branches; capped at N = 20."""
-    p = _check_probability(p)
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
+    p = _checked(N, p)
     if N > ENUMERATION_CAP:
         raise CapacityError(
             f"N={N} exceeds the enumeration cap {ENUMERATION_CAP}; use the closed-form "
@@ -147,9 +146,7 @@ def enumerate_branch_tree(N: int, p: float) -> BranchTree:
 
 def prob_r_given_N(r: int, N: int, p: float) -> float:
     """C(N,r) * p^r * q^(N-r), overflow-safe for large N via log-gamma."""
-    p = _check_probability(p)
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
+    p = _checked(N, p)
     if not (0 <= r <= N):
         raise DomainError(f"r must lie in [0, {N}], got {r}")
     if p == 0.0:
@@ -199,15 +196,6 @@ def _central_moments(m_max: int, N: int, p: Fraction) -> list[Fraction]:
     return values
 
 
-def _checked_moment_args(N: int, p) -> Fraction:
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
-    pf = Fraction(p)
-    if not (0 <= pf <= 1):
-        raise DomainError(f"p must lie in [0, 1], got {p}")
-    return pf
-
-
 def central_moment_exact(m: int, N: int, p) -> Fraction:
     """<(r/N - p)^m> as an exact rational number.
 
@@ -218,7 +206,8 @@ def central_moment_exact(m: int, N: int, p) -> Fraction:
     """
     if m < 0:
         raise DomainError(f"moment order must be nonnegative, got {m}")
-    return _central_moments(m, N, _checked_moment_args(N, p))[m]
+    _checked(N, p)
+    return _central_moments(m, N, Fraction(p))[m]
 
 
 def central_moment(m: int, N: int, p: float) -> float:
@@ -231,9 +220,7 @@ def central_moment(m: int, N: int, p: float) -> float:
 
 def expected_frequency(N: int, p: float) -> float:
     """<f> = <r>/N, which the generating-function identity collapses to p."""
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
-    return _check_probability(p)
+    return _checked(N, p)
 
 
 @dataclass(frozen=True)
@@ -255,7 +242,8 @@ def frequency_moments(N: int, p: float, m_max: int) -> FrequencyMoments:
     """Bundle central moments of orders 0..m_max."""
     if m_max < 0:
         raise DomainError(f"m_max must be nonnegative, got {m_max}")
-    values = _central_moments(m_max, N, _checked_moment_args(N, p))
+    _checked(N, p)
+    values = _central_moments(m_max, N, Fraction(p))
     return FrequencyMoments(N, float(p), {m: float(v) for m, v in enumerate(values)})
 
 
@@ -295,9 +283,8 @@ def moment_scaling_report(m_max: int, N_values, p: float) -> MomentScalingReport
     ns = [int(n) for n in N_values]
     if len(ns) < 2 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise DomainError("N_values must be an increasing sequence of length >= 2")
-    p = _check_probability(p)
-    pf = _checked_moment_args(ns[0], p)
-    moments = {n: _central_moments(m_max, n, pf) for n in ns}
+    p = _checked(ns[0], p)
+    moments = {n: _central_moments(m_max, n, Fraction(p)) for n in ns}
     entries = []
     constants = {}
     for m in range(2, m_max + 1):
@@ -318,15 +305,13 @@ def sample_observer_branch(N: int, p: float, seed: int):
     Uses numpy's Philox bit generator keyed by the seed, so identical seeds
     give identical sequences. Returns (BranchSequence, empirical frequency).
     """
-    p = _check_probability(p)
+    p = _checked(N, p)
     seq = BranchSequence(tuple((_observer_draws(N, seed) < p).tolist()))
     return seq, seq.aligned_count / N
 
 
 def _observer_draws(N: int, seed: int) -> np.ndarray:
     """The N uniform Philox draws behind sample_observer_branch; aligned where < p."""
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.Philox(seed)).random(N)
@@ -343,10 +328,10 @@ class ConvergenceRow:
 
 def convergence_demo(N_values, p: float, seed: int) -> list[ConvergenceRow]:
     """Sampled |f - p| against the exact 3*sqrt(pq/N) envelope, per N."""
-    p = _check_probability(p)
     ns = [int(n) for n in N_values]
     if len(ns) < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise DomainError("N_values must be an increasing sequence")
+    p = _checked(ns[0], p)  # the Ns increase, so the first is the least
     q = 1.0 - p
     rows = []
     for n in ns:

@@ -6,7 +6,7 @@ per output file. All randomness flows through the single `seed` parameter;
 reruns of an identical config reproduce every output byte for byte (the
 manifest's wall-time field is the one legitimately volatile value).
 Each pipeline computes all of its results before any file is opened; its
-writers only format them, through the shared write_csv.
+writers only format them, through the shared write_csv and write_json.
 
 Exit codes: 0 success, 2 config validation failure, 3 numerical guard
 (stability, capacity, or an arithmetic overflow that escaped validation),
@@ -52,20 +52,18 @@ from .fields import (
     harmonic_potential,
     make_gaussian_packet,
     write_csv,
+    write_json,
 )
 from .madelung import (
     decompose, polar_to_csv, quantum_potential, quantum_potential_to_csv, record_polars
 )
 from .spins import (
-    Direction,
-    apply_measurement,
+    branch_correlation,
     branches_to_json,
     chsh,
     classical_chsh_bound,
     correlation,
-    rotate_second_basis,
-    singlet,
-    unset_pointers,
+    singlet_branches,
 )
 from .universes import (
     TrajectoryEnsemble,
@@ -197,11 +195,6 @@ def _build_potential(p, grid, params):
     return free_potential(grid)
 
 
-def _json_writer(payload):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    return lambda path: Path(path).write_text(text, newline="\n")
-
-
 def _run_evolve(p):
     params = PhysicalParams(p["hbar"], p["mass"])
     grid = _build_grid(p)
@@ -265,15 +258,12 @@ def _run_caustic(p):
     }
     return {
         "classical.csv": lambda path: classical_to_csv(record, path),
-        "caustic.json": _json_writer(payload),
+        "caustic.json": lambda path: write_json(path, payload),
     }
 
 
 def _run_spin_split(p):
-    state = singlet(Direction(0.0))
-    if p["theta"] != 0.0:
-        state = rotate_second_basis(state, Direction(p["theta"]))
-    branches = apply_measurement(state, unset_pointers())
+    branches = singlet_branches(p["theta"])
     return {"branches.json": lambda path: branches_to_json(branches, path)}
 
 
@@ -289,20 +279,8 @@ def _run_branch_stats(p):
     }
     return {
         "branch_tree.csv": lambda path: branch_tree_to_csv(tree, path),
-        "moments.json": _json_writer(payload),
+        "moments.json": lambda path: write_json(path, payload),
     }
-
-
-def _branch_correlation(theta: float) -> float:
-    """Independent route to E(theta): sum of weight * (+-1 product) over branches."""
-    state = singlet(Direction(0.0))
-    if theta != 0.0:
-        state = rotate_second_basis(state, Direction(theta))
-    sign = {"up": 1.0, "down": -1.0}
-    return sum(
-        b.weight * sign[b.spin_labels[0]] * sign[b.spin_labels[1]]
-        for b in apply_measurement(state, unset_pointers())
-    )
 
 
 def _run_bell(p):
@@ -310,7 +288,7 @@ def _run_bell(p):
     columns = (
         thetas,
         np.array([correlation(t) for t in thetas.tolist()]),
-        np.array([_branch_correlation(t) for t in thetas.tolist()]),
+        np.array([branch_correlation(t) for t in thetas.tolist()]),
     )
 
     a, ap, b, bp = p["angles"]
@@ -323,7 +301,7 @@ def _run_bell(p):
     }
     return {
         "correlation.csv": lambda path: write_csv(path, "theta,closed_form,branch_sum", [columns]),
-        "bell.json": _json_writer(payload),
+        "bell.json": lambda path: write_json(path, payload),
     }
 
 
@@ -447,11 +425,6 @@ def _versions() -> dict:
     }
 
 
-def _write_manifest(out_dir: Path, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    (out_dir / "manifest.json").write_text(text, newline="\n")
-
-
 def run(config: ExperimentConfig, out_dir=".", quiet: bool = False) -> int:
     """Execute one experiment; returns the process exit status."""
     if config.experiment not in EXPERIMENTS:
@@ -492,14 +465,14 @@ def run(config: ExperimentConfig, out_dir=".", quiet: bool = False) -> int:
             writer(out_path / name)
             manifest["outputs"][name] = _sha256(out_path / name)
         manifest["wall_time_s"] = time.perf_counter() - started
-        _write_manifest(out_path, manifest)
+        write_json(out_path / "manifest.json", manifest)
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         manifest["status"] = "failed"
         manifest["error"] = str(exc)
         manifest["wall_time_s"] = time.perf_counter() - started
         try:
-            _write_manifest(out_path, manifest)
+            write_json(out_path / "manifest.json", manifest)
         except OSError:
             pass
         return EXIT_IO

@@ -25,6 +25,7 @@ from .fields import (
     PhysicalParams,
     PotentialField,
     SpatialGrid,
+    _freeze,
     gradient,
     interpolator,
     write_csv,
@@ -39,9 +40,9 @@ UNITARITY_TOLERANCE = 1e-8
 class EvolutionRecord:
     """Uniformly spaced snapshots of a single wave evolution, row s of amplitudes at times[s].
 
-    The (T, n) array is kept, not copied, and made read-only. Row norms are
-    checked against row 0: a drift beyond 1e-8 means the integrator violated
-    unitarity and the record is refused.
+    The (T, n) amplitude array is kept and times is copied; both are made
+    read-only. Row norms are checked against row 0: a drift beyond 1e-8
+    means the integrator violated unitarity and the record is refused.
     """
 
     params: PhysicalParams
@@ -54,21 +55,17 @@ class EvolutionRecord:
 
     def __post_init__(self):
         times = np.array(self.times, dtype=np.float64)
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if times.size == 0 or amps.shape != (times.size, self.grid.n_points):
-            raise DomainError(f"amplitudes must have shape (T > 0, n_points), got {amps.shape}")
+        if times.size == 0:
+            raise DomainError("a record needs at least one snapshot time")
+        _freeze(self, "times", times, (times.size,))
         spacing, target = np.diff(times), self.dt * self.snapshot_stride
         if np.any(spacing <= 0.0) or np.any(np.abs(spacing - target) > 1e-9 * max(target, 1e-300)):
             raise DomainError("snapshot times must increase uniformly by dt*stride")
-        if not np.isfinite(amps).all():
-            raise DomainError("amplitudes contain NaN or Inf")
+        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        _freeze(self, "amplitudes", amps, (times.size, self.grid.n_points))
         norms = np.vecdot(amps, amps).real * self.grid.dx  # no (T, n) temporary, unlike sum(|a|**2)
         if np.any(np.abs(norms - norms[0]) > UNITARITY_TOLERANCE):
             raise DomainError("snapshot norms drift beyond the unitarity tolerance")
-        times.flags.writeable = False
-        amps.flags.writeable = False
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "amplitudes", amps)
 
     @property
     def grid(self) -> SpatialGrid:
@@ -82,7 +79,10 @@ class EvolutionRecord:
 
 @dataclass(frozen=True, eq=False)
 class ClassicalEnsembleRecord:
-    """Newtonian characteristics: positions and velocities per particle per time."""
+    """Newtonian characteristics: positions and velocities per particle per time.
+
+    velocities is copied and made read-only.
+    """
 
     params: PhysicalParams
     potential: PotentialField
@@ -91,12 +91,7 @@ class ClassicalEnsembleRecord:
 
     def __post_init__(self):
         v = np.array(self.velocities, dtype=np.float64)
-        if v.shape != self.ensemble.positions.shape:
-            raise DomainError("velocities must have the same shape as positions")
-        if not np.all(np.isfinite(v)):
-            raise DomainError("velocities contain NaN or Inf")
-        v.flags.writeable = False
-        object.__setattr__(self, "velocities", v)
+        _freeze(self, "velocities", v, self.ensemble.positions.shape)
 
 
 def _auto_stride(n_steps: int) -> int:
@@ -229,7 +224,7 @@ def classical_ensemble_evolve(
     v = np.array(initial_velocities, dtype=np.float64)
     if x.ndim != 1 or x.shape != v.shape or x.size == 0:
         raise DomainError("positions and velocities must be matching nonempty 1D sequences")
-    if np.any(x < grid.x_min) or np.any(x > grid.x_max):
+    if not np.all((x >= grid.x_min) & (x <= grid.x_max)):  # NaN fails too
         raise DomainError("initial positions must lie within the grid")
     if not np.all(np.isfinite(v)):
         raise DomainError("initial velocities must be finite")

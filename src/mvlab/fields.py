@@ -11,11 +11,15 @@ Conventions used throughout the package:
   axis (one (n,) field or every row of a (T, n) stack), with wraparound on
   periodic grids and one-sided second-order stencils at dirichlet ends;
 * every CSV file of the package is written by write_csv, which prints
-  floats as repr of the float64, so they read back exactly.
+  floats as repr of the float64, so they read back exactly, and every JSON
+  file by write_json;
+* every array a record holds is frozen by _freeze, once the record has
+  converted it, copying it or keeping it as its type documents.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -70,45 +74,43 @@ class SpatialGrid:
         return self.x_min + self.dx * np.arange(self.n_points)
 
 
-def _readonly(array: np.ndarray) -> np.ndarray:
+def _freeze(record, name: str, array: np.ndarray, shape: tuple, finite: bool = True) -> np.ndarray:
+    """Set the converted array, read-only, as field `name` of a frozen record, and return it.
+
+    Refuses a shape other than `shape` and, unless the array is a bool mask
+    or `finite` is false (a NaN-means-never flag array), any NaN or Inf.
+    The finiteness check is its one pass over the data; it never copies.
+    """
+    if array.shape != shape:
+        raise DomainError(f"{name} must have shape {shape}, got {array.shape}")
+    if finite and array.dtype != bool and not np.isfinite(array).all():
+        raise DomainError(f"NaN or Inf in {name}")
     array.flags.writeable = False
+    object.__setattr__(record, name, array)
     return array
 
 
 @dataclass(frozen=True, eq=False)
 class GridWavefunction:
-    """Complex amplitudes sampled on a grid; immutable after construction."""
+    """Complex amplitudes sampled on a grid; copied and made read-only."""
 
     grid: SpatialGrid
     amplitudes: np.ndarray
 
     def __post_init__(self):
         amps = np.array(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (self.grid.n_points,):
-            raise DomainError(
-                f"amplitudes must have shape ({self.grid.n_points},), got {amps.shape}"
-            )
-        if not np.all(np.isfinite(amps.real)) or not np.all(np.isfinite(amps.imag)):
-            raise DomainError("amplitudes contain NaN or Inf")
-        object.__setattr__(self, "amplitudes", _readonly(amps))
+        _freeze(self, "amplitudes", amps, (self.grid.n_points,))
 
 
 @dataclass(frozen=True, eq=False)
 class PotentialField:
-    """Real potential energy sampled on a grid."""
+    """Real potential energy sampled on a grid; copied and made read-only."""
 
     grid: SpatialGrid
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=np.float64)
-        if vals.shape != (self.grid.n_points,):
-            raise DomainError(
-                f"values must have shape ({self.grid.n_points},), got {vals.shape}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise DomainError("potential values contain NaN or Inf")
-        object.__setattr__(self, "values", _readonly(vals))
+        _freeze(self, "values", np.array(self.values, dtype=np.float64), (self.grid.n_points,))
 
 
 def free_potential(grid: SpatialGrid) -> PotentialField:
@@ -250,6 +252,13 @@ def write_csv(path, header: str, blocks) -> None:
             for j, column in enumerate(block):  # a column of another length raises ValueError
                 text[2 * j :: 2 * len(block)] = _csv_text(column)
             fh.write("".join(text))
+
+
+def write_json(path, payload) -> None:
+    """Write payload as JSON with sorted keys and a 2-space indent, a final newline and LF endings."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.write(text)
 
 
 def wavefunction_to_csv(wf: GridWavefunction, path) -> None:

@@ -23,6 +23,7 @@ from .fields import (
     PhysicalParams,
     PotentialField,
     SpatialGrid,
+    _freeze,
     gradient,
     laplacian,
     write_csv,
@@ -57,13 +58,7 @@ class PolarField:
         if R.ndim not in (1, 2) or R.shape[-1] != n:
             raise DomainError(f"R must have shape ({n},) or (T, {n}), got {R.shape}")
         for name, dtype in (("R", np.float64), ("phi", np.float64), ("node_mask", bool)):
-            arr = np.asarray(getattr(self, name), dtype=dtype)
-            if arr.shape != R.shape:
-                raise DomainError(f"{name} must have the shape of R, {R.shape}")
-            if dtype is not bool and not np.isfinite(arr).all():
-                raise DomainError(f"{name} contains NaN or Inf")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            _freeze(self, name, np.asarray(getattr(self, name), dtype=dtype), R.shape)
         if np.any(R < 0.0):
             raise DomainError("R must be nonnegative")
 

@@ -9,11 +9,11 @@ floats; general angles are accurate to rounding.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 from .errors import DomainError, ProtocolError
+from .fields import write_json
 
 SPIN_LABELS = ("up", "down")
 BASIS_ORDER = (("up", "up"), ("up", "down"), ("down", "up"), ("down", "down"))
@@ -176,6 +176,22 @@ def apply_measurement(
     return branches
 
 
+def singlet_branches(theta: float) -> list[Branch]:
+    """The singlet, particle 2's basis rotated to theta (if nonzero), measured with unset pointers."""
+    state = singlet(Direction(0.0))
+    if theta != 0.0:
+        state = rotate_second_basis(state, Direction(theta))
+    return apply_measurement(state, unset_pointers())
+
+
+def branch_correlation(theta: float) -> float:
+    """E(theta) by the branch route: sum of weight * (+-1 product) over singlet_branches(theta)."""
+    sign = {"up": 1.0, "down": -1.0}
+    return sum(
+        b.weight * sign[b.spin_labels[0]] * sign[b.spin_labels[1]] for b in singlet_branches(theta)
+    )
+
+
 def aligned_probability(theta: float) -> float:
     """Weight of the aligned outcome when a pure 'up' spin meets an apparatus at theta.
 
@@ -234,9 +250,9 @@ def classical_chsh_bound() -> float:
     return max(abs(v) for v in deterministic_chsh_values())
 
 
-def branches_to_json(branches: list[Branch], path=None) -> str:
-    """Serialize a branch list to a JSON array; optionally write it to path."""
-    payload = [
+def branches_to_json(branches: list[Branch], path) -> None:
+    """Write a branch list to path as a JSON array, one object per branch."""
+    write_json(path, [
         {
             "amplitude_re": branch.amplitude.real,
             "amplitude_im": branch.amplitude.imag,
@@ -247,9 +263,4 @@ def branches_to_json(branches: list[Branch], path=None) -> str:
             "pointer2": branch.pointer_labels[1].reading,
         }
         for branch in branches
-    ]
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path is not None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
-    return text
+    ])

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DomainError
-from .fields import PhysicalParams, SpatialGrid, interpolator, write_csv
+from .fields import PhysicalParams, SpatialGrid, _freeze, interpolator, write_csv
 from .madelung import (
     DEFAULT_NODE_EPSILON,
     MASK_DILATION,
@@ -57,28 +57,18 @@ class TrajectoryEnsemble:
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=np.float64)
-        positions = np.asarray(self.positions, dtype=np.float64)
-        if times.ndim != 1 or positions.ndim != 2 or positions.shape[1] != times.size:
-            raise DomainError("positions must have shape (n_trajectories, n_times)")
+        _freeze(self, "times", times, (times.size,))
         if np.any(np.diff(times) <= 0.0):
             raise DomainError("times must be strictly increasing")
-        if not np.all(np.isfinite(positions)):
-            raise DomainError("positions contain NaN or Inf")
+        positions = np.asarray(self.positions, dtype=np.float64)
+        _freeze(self, "positions", positions, positions.shape[:1] + times.shape)  # (M, T)
+        m = len(positions)
         if self.kind not in KINDS:
             raise DomainError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        times.flags.writeable = False
-        positions.flags.writeable = False
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "positions", positions)
         for name in ("frozen_at", "escaped_at"):
             flags = getattr(self, name)
-            flags = np.full(positions.shape[0], np.nan) if flags is None else np.asarray(
-                flags, dtype=np.float64
-            )
-            if flags.shape != (positions.shape[0],):
-                raise DomainError(f"{name} must have one entry per trajectory")
-            flags.flags.writeable = False
-            object.__setattr__(self, name, flags)
+            flags = np.full(m, np.nan) if flags is None else np.asarray(flags, dtype=np.float64)
+            _freeze(self, name, flags, (m,), finite=False)
 
     @property
     def n_trajectories(self) -> int:
@@ -122,7 +112,7 @@ def integrate_universes(
     x = np.array(initial_positions, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise DomainError("initial_positions must be a nonempty 1D sequence")
-    if np.any(x < grid.x_min) or np.any(x > grid.x_max):
+    if not np.all((x >= grid.x_min) & (x <= grid.x_max)):  # NaN fails too
         raise DomainError("initial positions must lie within the grid")
 
     polars = record_polars(record, params, node_epsilon)

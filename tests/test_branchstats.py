@@ -199,6 +199,16 @@ class TestCentralMoments:
         assert fm.moments[1] == 0.0
         assert fm.moments[2] == 0.01875
 
+    @pytest.mark.parametrize("p", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("moment", [
+        lambda p: central_moment_exact(2, 10, p),
+        lambda p: central_moment(2, 10, p),
+        lambda p: frequency_moments(10, p, 4),
+    ], ids=["central_moment_exact", "central_moment", "frequency_moments"])
+    def test_non_finite_p_refused(self, moment, p):
+        with pytest.raises(DomainError, match=r"p must lie in \[0, 1\]"):
+            moment(p)
+
 
 class TestMomentScaling:
     def test_variance_halves_when_n_doubles(self):

@@ -378,6 +378,13 @@ class TestClassicalEnsemble:
         assert ens.positions[1, -1] == 2.0
         assert np.all(np.isfinite(ens.positions))
 
+    @pytest.mark.parametrize("starts", [[np.nan], [0.0, np.nan], [np.nan, np.inf]])
+    def test_rejects_nan_positions_at_the_start(self, starts):
+        g = SpatialGrid(-10.0, 10.0, 256)
+        with pytest.raises(DomainError, match="initial positions must lie within the grid"):
+            classical_ensemble_evolve(starts, np.zeros(len(starts)), free_potential(g), PARAMS,
+                                      1e-2, 10)
+
     def test_velocities_recorded(self):
         g = SpatialGrid(-10.0, 10.0, 256)
         rec = classical_ensemble_evolve([1.0], [0.5], free_potential(g), PARAMS, 1e-2, 10)

@@ -1,13 +1,19 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvlab.branchstats import BranchTree
 from mvlab.errors import CommensurabilityError, DomainError, ResolutionError
+from mvlab.evolution import ClassicalEnsembleRecord, EvolutionRecord
 from mvlab.fields import (
     GridWavefunction,
     PhysicalParams,
+    PotentialField,
     SpatialGrid,
+    free_potential,
     gradient,
     interpolator,
     laplacian,
@@ -17,8 +23,10 @@ from mvlab.fields import (
     normalize,
     wavefunction_to_csv,
     write_csv,
+    write_json,
 )
-from mvlab.madelung import decompose
+from mvlab.madelung import PolarField, decompose
+from mvlab.universes import TrajectoryEnsemble
 
 PARAMS = PhysicalParams()
 
@@ -149,6 +157,53 @@ class TestWavefunctionValidation:
             wf.amplitudes[0] = 0.0
 
 
+class TestFreeze:
+    """Every record array passes through fields._freeze: copied or kept per type, then read-only."""
+
+    @staticmethod
+    def records():
+        """(record, its array attribute, the array it was given) for each record type."""
+        g = grid(n=16)
+        amps, real, mask = np.ones(16, dtype=complex) / 4.0, np.ones(16), np.zeros(16, dtype=bool)
+        polar = PolarField(g, real, real.copy(), mask)
+        stack, times = np.tile(amps, (3, 1)), np.arange(3.0)
+        record = EvolutionRecord(PARAMS, free_potential(g), 1.0, 1, times, stack)
+        positions, flags = np.zeros((2, 3)), np.array([np.nan, 1.0])
+        ensemble = TrajectoryEnsemble(times, positions, "bohmian", frozen_at=flags)
+        velocities, weights = np.zeros((2, 3)), np.full(4, 0.25)
+        return [
+            (GridWavefunction(g, amps), "amplitudes", amps),
+            (PotentialField(g, real), "values", real),
+            (polar, "R", real), (polar, "node_mask", mask),
+            (record, "times", times), (record, "amplitudes", stack),
+            (ensemble, "times", times), (ensemble, "positions", positions),
+            (ensemble, "frozen_at", flags),
+            (ClassicalEnsembleRecord(PARAMS, free_potential(g), ensemble, velocities),
+             "velocities", velocities),
+            (BranchTree(2, 0.5, weights), "weights", weights),
+        ]
+
+    def test_copy_or_keep_and_read_only(self):
+        kept = {("PolarField", "R"), ("PolarField", "node_mask"), ("EvolutionRecord", "amplitudes"),
+                ("TrajectoryEnsemble", "times"), ("TrajectoryEnsemble", "positions"),
+                ("TrajectoryEnsemble", "frozen_at")}
+        for record, name, given in self.records():
+            held = getattr(record, name)
+            assert (held is given) == ((type(record).__name__, name) in kept), (record, name)
+            assert not held.flags.writeable
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_times_and_weights_must_be_finite(self, value):
+        times = np.array([0.0, 1.0, value])
+        with pytest.raises(DomainError, match="NaN or Inf in times"):
+            TrajectoryEnsemble(times, np.zeros((2, 3)), "bohmian")
+        g = grid(n=16)
+        with pytest.raises(DomainError, match="NaN or Inf in times"):
+            EvolutionRecord(PARAMS, free_potential(g), 1.0, 1, times, np.ones((3, 16)) / 4.0)
+        with pytest.raises(DomainError, match="NaN or Inf in weights"):
+            BranchTree(1, 0.5, [value, 0.5])
+
+
 class TestDerivatives:
     def test_gradient_periodic_on_trig(self):
         g = SpatialGrid(0.0, 2.0 * np.pi, 512)
@@ -245,3 +300,12 @@ class TestWriteCsv:
     def test_longer_later_column_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_csv(tmp_path / "out.csv", "a,b", [(self.FLOATS[:3], self.INTS)])
+
+
+class TestWriteJson:
+    def test_sorted_indented_lf_bytes(self, tmp_path):
+        payload = {"b": [1, 0.1, float("nan")], "a": {"z": "up", "y": None}}
+        path = tmp_path / "out.json"
+        write_json(path, payload)
+        assert path.read_bytes() == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+        assert path.read_bytes().startswith(b'{\n  "a": {\n    "y": null,')

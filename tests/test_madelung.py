@@ -467,7 +467,7 @@ class TestRecordPolars:
             len(single)
         with pytest.raises(DomainError):
             single[0]
-        with pytest.raises(DomainError, match="shape of R"):
+        with pytest.raises(DomainError, match="phi must have shape"):
             PolarField(rec.grid, polars.R, polars.phi[:-1], polars.node_mask)
 
 

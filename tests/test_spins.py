@@ -254,9 +254,9 @@ class TestJsonExport:
         st = rotate_second_basis(singlet(Direction(0.0)), Direction(theta))
         branches = apply_measurement(st, unset_pointers())
         path = tmp_path / "branches.json"
-        text = branches_to_json(branches, path)
-        assert path.read_text() == text
-        payload = json.loads(text)
+        branches_to_json(branches, path)
+        assert path.read_bytes().endswith(b"\n]\n")
+        payload = json.loads(path.read_text())
         assert isinstance(payload, list) and len(payload) == 4
         for entry, branch in zip(payload, branches):
             assert set(entry) == {

@@ -175,6 +175,12 @@ class TestIntegrateUniverses:
         with pytest.raises(DomainError):
             integrate_universes(rec, [50.0], PARAMS)
 
+    @pytest.mark.parametrize("starts", [[np.nan], [0.0, np.nan], [np.nan, np.inf]])
+    def test_rejects_nan_positions_at_the_start(self, starts):
+        rec, _ = free_gaussian_record(n=512, dt=1e-3, n_steps=10, stride=5)
+        with pytest.raises(DomainError, match="initial positions must lie within the grid"):
+            integrate_universes(rec, starts, PARAMS)
+
 
 class TestOnePass:
     """integrate_universes derives velocity in blocks and wraps once per RK4 stage."""
