@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .fields import _freeze, write_csv
+from .fields import LazyBlocks, _freeze, write_csv
 
 ENUMERATION_CAP = 20
 _EXACT_COMB_LIMIT = 400  # beyond this the binomial coefficient leaves float range
@@ -356,13 +356,14 @@ def branch_tree_to_csv(tree: BranchTree, path) -> None:
     so each block's bit strings are one shared low-bit table plus a suffix.
     """
     low = min(tree.N, _CSV_CHUNK_ROWS.bit_length() - 1)
-    low_bits, size = _bit_strings(low), 2**low
+    low_bits, suffixes, size = _bit_strings(low), _bit_strings(tree.N - low), 2**low
     counts = tree.aligned_counts()
-    blocks = (
-        ([b + suffix for b in low_bits], counts[k : k + size], tree.weights[k : k + size])
-        for k, suffix in zip(range(0, counts.size, size), _bit_strings(tree.N - low))
-    )
-    write_csv(path, "sequence_bits,r,weight", blocks)
+
+    def block(b):
+        rows = slice(b * size, (b + 1) * size)
+        return [s + suffixes[b] for s in low_bits], counts[rows], tree.weights[rows]
+
+    write_csv(path, "sequence_bits,r,weight", LazyBlocks(len(suffixes), block))
 
 
 def convergence_to_csv(rows: list[ConvergenceRow], path) -> None:

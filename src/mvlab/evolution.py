@@ -22,6 +22,7 @@ import numpy as np
 from .errors import DomainError, StabilityError
 from .fields import (
     GridWavefunction,
+    LazyBlocks,
     PhysicalParams,
     PotentialField,
     SpatialGrid,
@@ -273,19 +274,22 @@ def classical_ensemble_evolve(
 
 def evolution_to_csv(record: EvolutionRecord, path) -> None:
     """Write long-format columns t,x,re,im,R2 with LF line endings."""
-    n = record.grid.n_points
+    n, times = record.grid.n_points, record.times.tolist()
     x = list(map(repr, record.grid.points.tolist()))
-    write_csv(path, "t,x,re,im,R2", (
-        ([repr(t)] * n, x, psi.real, psi.imag, np.abs(psi) ** 2)
-        for t, psi in zip(record.times.tolist(), record.amplitudes)
-    ))
+
+    def block(s):
+        psi = record.amplitudes[s]
+        return [repr(times[s])] * n, x, psi.real, psi.imag, np.abs(psi) ** 2
+
+    write_csv(path, "t,x,re,im,R2", LazyBlocks(len(times), block))
 
 
 def classical_to_csv(record: ClassicalEnsembleRecord, path) -> None:
     """Write columns t,particle_id,x,v with LF line endings."""
-    ens = record.ensemble
+    ens, times = record.ensemble, record.ensemble.times.tolist()
     ids = list(map(str, range(ens.n_trajectories)))
-    write_csv(path, "t,particle_id,x,v", (
-        ([repr(t)] * len(ids), ids, ens.positions[:, s], record.velocities[:, s])
-        for s, t in enumerate(ens.times.tolist())
-    ))
+
+    def block(s):
+        return [repr(times[s])] * len(ids), ids, ens.positions[:, s], record.velocities[:, s]
+
+    write_csv(path, "t,particle_id,x,v", LazyBlocks(len(times), block))

@@ -11,16 +11,21 @@ Conventions used throughout the package:
   axis (one (n,) field or every row of a (T, n) stack), with wraparound on
   periodic grids and one-sided second-order stencils at dirichlet ends;
 * every CSV file of the package is written by write_csv, which prints
-  floats as repr of the float64, so they read back exactly, and every JSON
-  file by write_json;
+  floats as repr of the float64, so they read back exactly, and formats a
+  large file's blocks on every core; every JSON file by write_json;
 * every array a record holds is frozen by _freeze, once the record has
   converted it, copying it or keeping it as its type documents.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import shutil
+import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,18 +138,22 @@ def make_gaussian_packet(
 ) -> GridWavefunction:
     """Normalized Gaussian packet ~ exp(-(x-x0)^2/(4 sigma^2)) * exp(i k0 x).
 
-    Requires x0 inside the grid and sigma >= 4*dx so the envelope is resolved.
-    Construction is deterministic: identical inputs give bitwise-identical
-    amplitudes.
+    Requires x0 inside the grid, sigma >= 4*dx so the envelope is resolved,
+    and |k0|*dx < pi so the phase step between cells is. Construction is
+    deterministic: identical inputs give bitwise-identical amplitudes.
     """
     if not (grid.x_min < x0 < grid.x_max):
         raise DomainError(f"x0={x0} lies outside the grid ({grid.x_min}, {grid.x_max})")
     if not (sigma > 0.0 and math.isfinite(sigma * sigma)):
         raise DomainError(f"sigma must be positive with a finite square, got {sigma}")
+    if not math.isfinite(k0 * max(abs(grid.x_min), abs(grid.x_max))):
+        raise DomainError(f"k0 must be finite with a finite phase k0*x on the grid, got {k0}")
     if sigma < 4.0 * grid.dx:
         raise ResolutionError(
             f"sigma={sigma} under-resolved: need sigma >= 4*dx = {4.0 * grid.dx}"
         )
+    if not abs(k0) * grid.dx < math.pi:
+        raise ResolutionError(f"k0={k0} under-resolved: need |k0|*dx < pi, with dx = {grid.dx}")
     x = grid.points
     psi = np.exp(-((x - x0) ** 2) / (4.0 * sigma**2)) * np.exp(1j * k0 * x)
     psi = psi / np.sqrt(np.sum(np.abs(psi) ** 2) * grid.dx)
@@ -207,19 +216,26 @@ def laplacian(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     return out
 
 
+def grid_offset(grid: SpatialGrid, pos):
+    """pos - x_min, wrapped into [0, length) on a periodic grid: the one wrap of a position."""
+    return np.mod(pos - grid.x_min, grid.length) if grid.boundary == "periodic" else pos - grid.x_min
+
+
 def interpolator(grid: SpatialGrid, values):
     """Linear interpolant of grid samples in position; periodic grids wrap the position.
 
     A (k, n) stack along the last axis gives a list of k rows per call, from
     one wrap of the positions; each row equals its own (n,) interpolant's.
+    interp(pos, offset) takes a caller's offset = grid_offset(grid, pos) in
+    place of wrapping pos again.
     """
     x, vs, periodic = grid.points, np.asarray(values), grid.boundary == "periodic"
     if periodic:
         x, vs = np.append(x, grid.x_max), np.concatenate((vs, vs[..., :1]), axis=-1)
 
-    def interp(pos):
+    def interp(pos, offset=None):
         if periodic:
-            pos = grid.x_min + np.mod(pos - grid.x_min, grid.length)
+            pos = grid.x_min + (grid_offset(grid, pos) if offset is None else offset)
         return np.interp(pos, x, vs) if vs.ndim == 1 else [np.interp(pos, x, row) for row in vs]
 
     return interp
@@ -233,25 +249,132 @@ def _csv_text(column):
     return column
 
 
-def write_csv(path, header: str, blocks) -> None:
-    """Write a header row, then the rows of each block, with LF line endings.
+@dataclass(frozen=True)
+class LazyBlocks:
+    """A sized sequence of CSV blocks built on demand: the i-th is block(i), for i < count."""
 
-    A block is a tuple of equal-length columns, written as one string per
-    block so the text held in memory is bounded by the largest block. A
-    numpy column is numeric: each value is written as ``repr`` of its Python
-    value, so a float64 prints in its shortest round-trip form (``nan``,
-    ``inf`` and ``-0.0`` included), an integer as its digits and a bool as
-    0 or 1. Any other column is a sequence of strings written as they are.
-    A block's fields and separators are slotted into one list and joined
-    once, with no per-row string.
-    """
+    count: int
+    block: Callable
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, i: int):
+        if not 0 <= i < self.count:
+            raise IndexError(i)
+        return self.block(i)
+
+
+# fields per block range below which a forked worker costs more than it saves: at about
+# 0.5 us per field a range takes 30 ms or more; a fork and reap of a 60 MiB process, 2-4 ms
+MIN_FIELDS_PER_RANGE = 1 << 16
+_ERROR_BYTES = 4096  # a worker's error message, at most; fits an empty pipe without blocking
+
+
+def _block_ranges(blocks) -> list[int]:
+    """Bounds of the k contiguous block ranges write_csv formats: k is 1 unless the blocks
+    hold MIN_FIELDS_PER_RANGE fields per range (from the first block's size) on k cores."""
+    k = 1
+    if len(blocks) > 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        first = blocks[0]
+        fields = len(blocks) * len(first) * len(first[0])
+        k = max(1, min(len(os.sched_getaffinity(0)), len(blocks), fields // MIN_FIELDS_PER_RANGE))
+    return [len(blocks) * i // k for i in range(k + 1)]
+
+
+def _format_range(path, head: str, blocks, lo: int, hi: int) -> None:
+    """Write head, then the rows of blocks[lo:hi], to path."""
     with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for block in blocks:
+        fh.write(head)
+        for i in range(lo, hi):
+            block = blocks[i]
             text = ([None, ","] * (len(block) - 1) + [None, "\n"]) * len(block[0])
             for j, column in enumerate(block):  # a column of another length raises ValueError
                 text[2 * j :: 2 * len(block)] = _csv_text(column)
             fh.write("".join(text))
+
+
+def _fork_worker(part: str, blocks, lo: int, hi: int) -> tuple[int, int]:
+    """Fork a process that formats blocks[lo:hi] into part and exits: (pid, read end of its error pipe)."""
+    read_end, write_end = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns on fork() in any process with a second native thread,
+            # numpy's idle BLAS pool included; the worker calls no BLAS, it formats text
+            warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:  # the worker never returns into its caller's frames
+        status = 1
+        try:
+            os.close(read_end)
+            _format_range(part, "", blocks, lo, hi)
+            status = 0
+        except BaseException as exc:  # reported by the pipe and the exit status
+            os.write(write_end, f"{type(exc).__name__}: {exc}".encode(errors="replace")[:_ERROR_BYTES])
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, read_end
+
+
+def write_csv(path, header: str, blocks) -> None:
+    """Write a header row, then the rows of each block, with LF line endings.
+
+    blocks is a sized sequence (a list, or LazyBlocks to build each block on
+    demand); a block is a tuple of equal-length columns, written as one
+    string per block so the text held in memory is bounded by the largest
+    block. A numpy column is numeric: each value is written as ``repr`` of
+    its Python value, so a float64 prints in its shortest round-trip form
+    (``nan``, ``inf`` and ``-0.0`` included), an integer as its digits and a
+    bool as 0 or 1. Any other column is a sequence of strings written as they
+    are. A block's fields and separators are slotted into one list and joined
+    once, with no per-row string.
+
+    Large outputs are formatted on up to one core each: the blocks split
+    into k contiguous ranges of at least MIN_FIELDS_PER_RANGE fields; this
+    process writes range 0 to path while k - 1 forked workers write the
+    others to ``<path>.part<i>`` beside it, which are then appended in order
+    and deleted. The bytes are those of k = 1, the only case for small files
+    or where os.fork or os.sched_getaffinity is missing. A worker that fails
+    raises OSError naming its error; no part file or child process outlives
+    the call.
+    """
+    bounds = _block_ranges(blocks)
+    parts = [f"{os.fspath(path)}.part{i}" for i in range(1, len(bounds) - 1)]
+    running, pipes = {}, []
+    try:
+        for i, part in enumerate(parts, 1):
+            running[part], pipe = _fork_worker(part, blocks, bounds[i], bounds[i + 1])
+            pipes.append(pipe)
+        _format_range(path, header + "\n", blocks, bounds[0], bounds[1])
+        for part, pipe in zip(parts, pipes):
+            status = os.waitpid(running[part], 0)[1]
+            del running[part]
+            if os.WIFSIGNALED(status):
+                raise OSError(f"CSV worker for {part} failed: killed by signal {os.WTERMSIG(status)}")
+            if status:
+                error = os.read(pipe, _ERROR_BYTES).decode(errors="replace")
+                raise OSError(f"CSV worker for {part} failed: {error or os.waitstatus_to_exitcode(status)}")
+        with open(path, "ab") as out:
+            for part in parts:
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, out, 1 << 20)
+    finally:
+        if running:  # a range failed: the other workers' output is moot
+            import signal  # only here, so importing mvlab does not load it
+
+            for pid in running.values():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for pipe in pipes:
+            os.close(pipe)
+        for part in parts:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(part)
 
 
 def write_json(path, payload) -> None:

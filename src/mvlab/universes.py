@@ -7,7 +7,7 @@ the quantum flow never reorders, the classical converging flow does.
 integrate_universes reads madelung.record_polars, so each snapshot of a
 record is decomposed once, and derives the velocity VELOCITY_BLOCK snapshots
 at a time: a whole-stack velocity would hold another (T, n) array.
-trajectories_to_csv streams an ensemble one recorded time at a time.
+trajectories_to_csv builds one block per recorded time, on demand.
 """
 
 from __future__ import annotations
@@ -18,7 +18,15 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DomainError
-from .fields import PhysicalParams, SpatialGrid, _freeze, interpolator, write_csv
+from .fields import (
+    LazyBlocks,
+    PhysicalParams,
+    SpatialGrid,
+    _freeze,
+    grid_offset,
+    interpolator,
+    write_csv,
+)
 from .madelung import (
     DEFAULT_NODE_EPSILON,
     MASK_DILATION,
@@ -83,12 +91,10 @@ def velocity_field(polar: PolarField, params: PhysicalParams) -> np.ndarray:
 
 
 def _zone_lookup(grid: SpatialGrid, zone: np.ndarray):
-    """in_zone(pos): whether either end of the grid cell holding pos lies in zone."""
-    periodic = grid.boundary == "periodic"
-    either_end = zone | np.append(zone[1:], zone[0] if periodic else zone[-1])
+    """in_zone(offset): whether either end of the grid cell at grid_offset(grid, pos) lies in zone."""
+    either_end = zone | np.append(zone[1:], zone[0] if grid.boundary == "periodic" else zone[-1])
 
-    def in_zone(pos):
-        offset = np.mod(pos - grid.x_min, grid.length) if periodic else pos - grid.x_min
+    def in_zone(offset):
         return either_end[np.clip(np.floor(offset / grid.dx).astype(int), 0, grid.n_points - 1)]
 
     return in_zone
@@ -125,7 +131,8 @@ def integrate_universes(
 
     rows = flows()
     v1, zone1 = next(rows)
-    if np.any(_zone_lookup(grid, zone1)(x)):
+    offset = grid_offset(grid, x)  # each position is wrapped once, for its zone check and next stage
+    if np.any(_zone_lookup(grid, zone1)(offset)):
         raise DomainError("initial positions must avoid node neighborhoods of the first snapshot")
 
     times = record.times
@@ -142,18 +149,19 @@ def integrate_universes(
         in_zone = _zone_lookup(grid, zone0 | zone1)
         h = t1 - t0
 
-        def vel(pos, t):
+        def vel(pos, t, offset=None):
             w = (t - t0) / h
-            at0, at1 = interp(pos)
+            at0, at1 = interp(pos, offset)
             return (1.0 - w) * at0 + w * at1
 
-        k1 = vel(x, t0)
+        k1 = vel(x, t0, offset)
         k2 = vel(x + 0.5 * h * k1, t0 + 0.5 * h)
         k3 = vel(x + 0.5 * h * k2, t0 + 0.5 * h)
         k4 = vel(x + h * k3, t0 + h)
         live = np.isnan(frozen_at)
         x = np.where(live, x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), x)
-        frozen_at[live & in_zone(x)] = t0 + h
+        offset = grid_offset(grid, x)
+        frozen_at[live & in_zone(offset)] = t0 + h
         positions[:, s + 1] = x
 
     return TrajectoryEnsemble(times.copy(), positions, "bohmian", frozen_at=frozen_at)
@@ -274,13 +282,13 @@ def trajectories_to_csv(ensemble: TrajectoryEnsemble, path) -> None:
     flags is "frozen" from frozen_at on, else "escaped" from escaped_at on,
     else empty (a NaN flag time never fires).
     """
-    m = ensemble.n_trajectories
+    m, times = ensemble.n_trajectories, ensemble.times.tolist()
     ids, kind = list(map(str, range(m))), [ensemble.kind] * m
 
-    def blocks():
-        for s, t in enumerate(ensemble.times.tolist()):
-            escaped = np.where(ensemble.escaped_at <= t, "escaped", "")
-            flags = np.where(ensemble.frozen_at <= t, "frozen", escaped).tolist()
-            yield [repr(t)] * m, ids, ensemble.positions[:, s], kind, flags
+    def block(s):
+        t = times[s]
+        escaped = np.where(ensemble.escaped_at <= t, "escaped", "")
+        flags = np.where(ensemble.frozen_at <= t, "frozen", escaped).tolist()
+        return [repr(t)] * m, ids, ensemble.positions[:, s], kind, flags
 
-    write_csv(path, "t,trajectory_id,x,kind,flags", blocks())
+    write_csv(path, "t,trajectory_id,x,kind,flags", LazyBlocks(len(times), block))

@@ -4,7 +4,8 @@ Everything here is closed-form mathematics evaluated directly, with three
 exceptions that reuse mvlab's single-snapshot building blocks as a reference
 for how they are combined: branch_correlation (the spin branches),
 per_snapshot_residual_pair (the residual pair evaluated snapshot by snapshot)
-and per_snapshot_universes (the trajectory integration, likewise).
+and per_snapshot_universes (the trajectory integration, likewise). csv_bytes
+is the CSV format written out one field at a time.
 """
 
 import math
@@ -228,3 +229,22 @@ def per_snapshot_universes(record, starts, params, node_epsilon):
         frozen |= newly
         positions[:, s + 1] = x
     return positions, frozen_at
+
+
+def csv_bytes(header, blocks) -> bytes:
+    """mvlab.fields.write_csv's bytes, serially, one row and one field at a time.
+
+    A numpy column's field is repr of its Python value, a bool as 0 or 1;
+    any other column holds the field strings themselves.
+    """
+
+    def field(column, i):
+        if isinstance(column, np.ndarray):
+            value = column[i].item()
+            return repr(int(value) if column.dtype == bool else value)
+        return column[i]
+
+    rows = [header]
+    for block in blocks:
+        rows += [",".join(field(column, i) for column in block) for i in range(len(block[0]))]
+    return ("\n".join(rows) + "\n").encode()

@@ -6,8 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import mvlab.fields
 from mvlab.branchstats import convergence_demo, convergence_to_csv
 from mvlab.cli import (
     EXIT_CONFIG,
@@ -20,6 +22,7 @@ from mvlab.cli import (
     _validate,
     main,
 )
+from mvlab.fields import write_csv
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -168,6 +171,16 @@ class TestGuards:
         assert "finite square" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("k0", ["NaN", "1e308"])
+    def test_non_finite_k0_phase_exits_2(self, tmp_path, capsys, k0):
+        out = tmp_path / "out"
+        status = run_cli("evolve", "--config", str(CONFIGS / "evolve.json"), "--set", f"k0={k0}",
+                         "--out-dir", str(out))
+        assert status == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "k0 must be finite" in err and len(err.strip().splitlines()) == 1  # no numpy warnings
+        assert not out.exists()
+
     def test_universes_interval_outside_grid_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"
         status = run_cli("universes", "--config", str(CONFIGS / "universes.json"),
@@ -290,6 +303,29 @@ class TestFailureModes:
         assert status == 4
         assert blocker.read_text() == "not a directory"  # nothing clobbered
 
+    def test_failed_csv_worker_exits_4_with_a_failed_manifest(self, tmp_path, capsys, monkeypatch):
+        class Exploding(list):  # a string column that raises while it is formatted
+            def __iter__(self):
+                raise RuntimeError("boom")
+
+        blocks = [(np.arange(4.0),), (np.arange(4.0),), (Exploding(["x"] * 4),)]
+        monkeypatch.setattr(mvlab.fields, "MIN_FIELDS_PER_RANGE", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setitem(EXPERIMENTS, "spin_split", (EXPERIMENTS["spin_split"][0], lambda p: {
+            "split.csv": lambda path: write_csv(path, "a", blocks),
+        }))
+        out = tmp_path / "out"
+        status = run_cli("spin_split", "--config", str(CONFIGS / "spin_split.json"),
+                         "--out-dir", str(out), "--quiet")
+        assert status == 4
+        err = capsys.readouterr().err
+        assert "split.csv.part1 failed: RuntimeError: boom" in err and len(err.strip().splitlines()) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and "RuntimeError: boom" in manifest["error"]
+        assert not list(out.glob("*.part*"))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_malformed_set_entry(self, tmp_path, capsys):
         status = run_cli("spin_split", "--config", str(CONFIGS / "spin_split.json"),
                          "--set", "thetapi", "--out-dir", str(tmp_path / "o"))
@@ -375,7 +411,11 @@ class TestReproducibility:
                 assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
     @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))
-    def test_matches_committed_golden(self, tmp_path, name):
+    def test_matches_committed_golden(self, tmp_path, monkeypatch, name):
+        def no_fork():  # the largest golden CSV has 7680 fields, under MIN_FIELDS_PER_RANGE
+            raise AssertionError("a golden CSV forked a writer")
+
+        monkeypatch.setattr(os, "fork", no_fork)
         golden = REPO / "golden" / name
         out = tmp_path / "out"
         assert run_cli(name, "--config", str(CONFIGS / f"{name}.json"),

@@ -1,15 +1,20 @@
 import json
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mvlab.fields
 from mvlab.branchstats import BranchTree
 from mvlab.errors import CommensurabilityError, DomainError, ResolutionError
 from mvlab.evolution import ClassicalEnsembleRecord, EvolutionRecord
 from mvlab.fields import (
     GridWavefunction,
+    LazyBlocks,
     PhysicalParams,
     PotentialField,
     SpatialGrid,
@@ -27,6 +32,7 @@ from mvlab.fields import (
 )
 from mvlab.madelung import PolarField, decompose
 from mvlab.universes import TrajectoryEnsemble
+from oracles import csv_bytes
 
 PARAMS = PhysicalParams()
 
@@ -92,6 +98,17 @@ class TestGaussianPacket:
     def test_center_outside_grid(self):
         with pytest.raises(DomainError):
             make_gaussian_packet(grid(), 25.0, 1.0, 0.0, PARAMS)
+
+    @pytest.mark.parametrize("k0", [np.nan, np.inf, -np.inf, 1e308])
+    def test_k0_with_a_non_finite_phase_rejected(self, k0):
+        with pytest.raises(DomainError, match="k0"):
+            make_gaussian_packet(grid(), 0.0, 1.0, k0, PARAMS)
+
+    def test_k0_resolution_guard(self):
+        g = grid(n=64)  # dx = 0.625, so |k0| must stay below pi/dx = 5.03
+        make_gaussian_packet(g, 0.0, 4.0, -5.0, PARAMS)
+        with pytest.raises(ResolutionError, match="k0"):
+            make_gaussian_packet(g, 0.0, 4.0, -5.1, PARAMS)
 
 
 class TestPlaneWave:
@@ -271,7 +288,7 @@ class TestWriteCsv:
 
     def test_blocks_joined_by_hand(self, tmp_path):
         columns = (self.FLOATS, self.INTS, self.BOOLS, self.LABELS)
-        blocks = (
+        blocks = tuple(
             tuple(c[lo:hi] for c in columns) for lo, hi in ((0, 1), (1, 1), (1, 5), (5, 8))
         )  # a one-row block, an empty block, then two more
         path = tmp_path / "out.csv"
@@ -300,6 +317,106 @@ class TestWriteCsv:
     def test_longer_later_column_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_csv(tmp_path / "out.csv", "a,b", [(self.FLOATS[:3], self.INTS)])
+
+
+SPECIAL_FLOATS = st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308, 0.1])
+COLUMN_KINDS = {
+    "float": lambda n: st.lists(st.one_of(SPECIAL_FLOATS, st.floats()), min_size=n, max_size=n)
+    .map(lambda v: np.array(v, dtype=np.float64)),
+    "bool": lambda n: st.lists(st.booleans(), min_size=n, max_size=n).map(np.array),
+    "int": lambda n: st.lists(st.integers(-(2**62), 2**62), min_size=n, max_size=n).map(np.array),
+    "str": lambda n: st.lists(st.text("abz09_-. ", max_size=5), min_size=n, max_size=n),
+}
+
+
+class Exploding:
+    """A string column that raises while it is formatted; given the test's pid, a worker
+    formatting it kills itself instead."""
+
+    def __init__(self, rows, only_in_worker_pid=None):
+        self.rows, self.parent = rows, only_in_worker_pid
+
+    def __len__(self):
+        return self.rows
+
+    def __iter__(self):
+        if self.parent is not None and os.getpid() != self.parent:
+            os.kill(os.getpid(), 9)  # SIGKILL: the worker dies without a word
+        raise RuntimeError("boom")
+
+
+def split_blocks(mp, cores):
+    """Force write_csv to split any nonempty first block, on `cores` cores."""
+    mp.setattr(mvlab.fields, "MIN_FIELDS_PER_RANGE", 1)
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+
+
+def assert_no_leftovers(directory):
+    assert not list(Path(directory).glob("*.part*"))
+    with pytest.raises(ChildProcessError):  # no worker running, none left unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestParallelWriteCsv:
+    """write_csv split into contiguous block ranges, formatted in forked workers."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kinds=st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=1, max_size=4),
+           n_blocks=st.integers(1, 40), cores=st.integers(1, 4), data=st.data())
+    def test_equals_the_serial_reference(self, kinds, n_blocks, cores, data):
+        sizes = data.draw(st.lists(st.integers(0, 4), min_size=n_blocks, max_size=n_blocks))
+        blocks = [tuple(data.draw(COLUMN_KINDS[kind](n)) for kind in kinds) for n in sizes]
+        forks = []
+        real_fork = os.fork
+
+        def counted_fork():
+            forks.append(1)
+            return real_fork()
+
+        with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as mp:
+            split_blocks(mp, cores)
+            mp.setattr(os, "fork", counted_fork)
+            path = Path(out, "out.csv")
+            write_csv(path, "h", LazyBlocks(n_blocks, blocks.__getitem__))
+            assert path.read_bytes() == csv_bytes("h", blocks)
+            assert_no_leftovers(out)
+        # one worker per core beyond this process's own, while the first block has fields
+        assert len(forks) == (min(cores, n_blocks) - 1 if sizes[0] else 0)
+
+    def test_worker_failure_raises_oserror_naming_it(self, tmp_path, monkeypatch):
+        split_blocks(monkeypatch, 2)
+        blocks = [(np.arange(3.0),), (np.arange(3.0),), (Exploding(3),)]
+        with pytest.raises(OSError, match=r"out\.csv\.part1 failed: RuntimeError: boom"):
+            write_csv(tmp_path / "out.csv", "h", blocks)
+        assert_no_leftovers(tmp_path)
+
+    def test_killed_worker_raises_oserror(self, tmp_path, monkeypatch):
+        split_blocks(monkeypatch, 2)
+        blocks = [(np.arange(3.0),), (Exploding(3, only_in_worker_pid=os.getpid()),)]
+        with pytest.raises(OSError, match="killed by signal 9"):
+            write_csv(tmp_path / "out.csv", "h", blocks)
+        assert_no_leftovers(tmp_path)
+
+    def test_own_range_failure_stops_the_workers(self, tmp_path, monkeypatch):
+        split_blocks(monkeypatch, 3)
+        blocks = [(Exploding(3),)] + [(np.arange(1e5),)] * 5  # the workers still have work
+        with pytest.raises(RuntimeError, match="boom"):
+            write_csv(tmp_path / "out.csv", "h", blocks)
+        assert_no_leftovers(tmp_path)
+
+    def test_serial_where_fork_is_missing(self, tmp_path, monkeypatch):
+        split_blocks(monkeypatch, 4)
+        monkeypatch.delattr(os, "fork")
+        blocks = [(np.arange(4) - 1.5, [f"r{i}" for i in range(4)])] * 3
+        write_csv(tmp_path / "out.csv", "a,b", blocks)
+        assert (tmp_path / "out.csv").read_bytes() == csv_bytes("a,b", blocks)
+
+    def test_lazy_blocks_are_sized_and_bounded(self):
+        blocks = LazyBlocks(3, lambda i: (np.full(2, i),))
+        assert len(blocks) == 3 and blocks[2][0].tolist() == [2, 2]
+        with pytest.raises(IndexError):
+            blocks[3]
+        assert [b[0][0] for b in blocks] == [0, 1, 2]  # iteration stops at the count
 
 
 class TestWriteJson:
