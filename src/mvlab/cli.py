@@ -105,16 +105,41 @@ class Param:
         self.note = note
 
 
+class _LongInteger:
+    """An integer literal too long for int(), kept by _read_json so _coerce refuses it by name."""
+
+    def __init__(self, literal: str):
+        self.digits = len(literal.lstrip("-"))
+
+    def __repr__(self):
+        return f"an integer literal of {self.digits} digits"
+
+
+def _read_json(text: str):
+    """json.loads, with each integer literal too long for int() kept as a _LongInteger."""
+
+    def parse_int(literal: str):
+        try:
+            return int(literal)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            return _LongInteger(literal)
+
+    return json.loads(text, parse_int=parse_int)
+
+
+def _number(param: Param, value, integer: bool):
+    """One value of an int or float parameter (or list entry); a float must lie in float range."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        noun = "integers" if integer else "numbers"
+        raise ConfigError(f"parameter {param.name!r} takes {noun}, got {value!r}")
+    try:
+        return value if integer else float(value)
+    except OverflowError:  # an int past float range
+        raise ConfigError(f"parameter {param.name!r} is past float range (about 1.8e308)") from None
+
+
 def _coerce(param: Param, value):
     kind = param.kind
-    if kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"parameter {param.name!r} must be an integer, got {value!r}")
-        return value
-    if kind == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"parameter {param.name!r} must be a number, got {value!r}")
-        return float(value)
     if kind == "str":
         if not isinstance(value, str):
             raise ConfigError(f"parameter {param.name!r} must be a string, got {value!r}")
@@ -122,18 +147,8 @@ def _coerce(param: Param, value):
     if kind in ("int_list", "float_list"):
         if not isinstance(value, (list, tuple)) or len(value) == 0:
             raise ConfigError(f"parameter {param.name!r} must be a nonempty list, got {value!r}")
-        out = []
-        for item in value:
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise ConfigError(f"parameter {param.name!r} must contain numbers, got {item!r}")
-            if kind == "int_list":
-                if not isinstance(item, int):
-                    raise ConfigError(f"parameter {param.name!r} must contain integers, got {item!r}")
-                out.append(item)
-            else:
-                out.append(float(item))
-        return out
-    raise AssertionError(f"unhandled parameter kind {kind}")
+        return [_number(param, item, kind == "int_list") for item in value]
+    return _number(param, value, kind == "int")
 
 
 def _validate(schema: list[Param], raw: dict, experiment: str) -> dict:
@@ -383,9 +398,9 @@ def _estimated_bytes(experiment: str, p: dict) -> int:
     """The bytes of a run's largest arrays, from its validated parameters alone.
 
     A wave snapshot is 16 B per grid point (decompose and caustic hold one
-    grid's worth), a trajectory table 8 B per trajectory per recorded time
-    (caustic records positions and velocities at every step), a sampled
-    column 8 B per value.
+    grid's worth) and its polar decomposition 17 B (R, phi, node mask), a
+    trajectory table 8 B per trajectory per recorded time (caustic records
+    positions and velocities at every step), a sampled column 8 B per value.
     """
     n_bytes = 0
     if "n_points" in p:
@@ -395,7 +410,7 @@ def _estimated_bytes(experiment: str, p: dict) -> int:
             snapshots = (n_steps // stride if stride else min(n_steps, MAX_DEFAULT_SNAPSHOTS)) + 1
         n_bytes += 16 * p["n_points"] * snapshots
         if experiment == "universes":
-            n_bytes += 8 * p["n_trajectories"] * snapshots
+            n_bytes += (17 * p["n_points"] + 8 * p["n_trajectories"]) * snapshots
     if experiment == "caustic":
         steps = p["t_total"] / p["dt"]
         times = round(steps) + 1 if steps < MAX_RUN_BYTES else MAX_RUN_BYTES  # inf and nan too
@@ -489,7 +504,7 @@ def _parse_set(entries) -> dict:
         if not sep or not key:
             raise ConfigError(f"--set expects key=value, got {entry!r}")
         try:
-            overrides[key] = json.loads(raw)
+            overrides[key] = _read_json(raw)
         except json.JSONDecodeError:
             overrides[key] = raw
     return overrides
@@ -513,38 +528,24 @@ def main(argv=None) -> int:
         print(f"error: unknown experiment {args.experiment!r}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        raw = json.loads(Path(args.config).read_text())
+        parameters = _read_json(Path(args.config).read_text())
+        if not isinstance(parameters, dict):
+            raise ConfigError("config must be a JSON object")
+        declared = parameters.pop("experiment", None)
+        if declared is not None and declared != args.experiment:
+            raise ConfigError(
+                f"config declares experiment {declared!r} but {args.experiment!r} was requested")
+        parameters.update(_parse_set(args.set))
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
     except json.JSONDecodeError as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if not isinstance(raw, dict):
-        print("error: config must be a JSON object", file=sys.stderr)
-        return EXIT_CONFIG
-
-    parameters = dict(raw)
-    declared = parameters.pop("experiment", None)
-    if declared is not None and declared != args.experiment:
-        print(
-            f"error: config declares experiment {declared!r} but {args.experiment!r} was requested",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
-    try:
-        parameters.update(_parse_set(args.set))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.seed is not None:
-        schema, _ = EXPERIMENTS[args.experiment]
-        if not any(p.name == "seed" for p in schema):
-            print(
-                f"error: experiment {args.experiment!r} does not accept parameter 'seed'",
-                file=sys.stderr,
-            )
-            return EXIT_CONFIG
+    if args.seed is not None:  # the same as --set seed=, validated with the rest
         parameters["seed"] = args.seed
 
     config = ExperimentConfig(args.experiment, parameters)

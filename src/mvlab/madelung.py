@@ -6,8 +6,8 @@ downstream physics uses. Unwrapping never crosses a node: each node-free
 segment unwraps independently, anchored at its own modulus maximum where phi
 takes its principal value in (-pi*hbar, pi*hbar].
 
-A record is decomposed once, by record_polars, into one (T, n) PolarField
-stack that every consumer reads; the residual pair is whole-stack arithmetic.
+decompose takes an (n,) field or a record's (T, n) stack, which record_polars
+caches for every consumer; the residual pair is whole-stack arithmetic.
 """
 
 from __future__ import annotations
@@ -121,29 +121,34 @@ def _wrap(delta: np.ndarray, period: float) -> np.ndarray:
 
 
 def decompose(
-    wf: GridWavefunction, params: PhysicalParams, node_epsilon: float = DEFAULT_NODE_EPSILON
+    source, params: PhysicalParams, node_epsilon: float = DEFAULT_NODE_EPSILON
 ) -> PolarField:
-    """Split psi into modulus R and unwrapped phase phi with R*exp(i*phi/hbar) = psi."""
+    """Split psi into modulus R and unwrapped phase phi with R*exp(i*phi/hbar) = psi.
+
+    source has a .grid and (n,) or (T, n) .amplitudes (a GridWavefunction or an
+    EvolutionRecord); each row of the like-shaped PolarField is decomposed on its own.
+    """
     if not (0.0 < node_epsilon <= 0.1):
         raise DomainError(f"node_epsilon must lie in (0, 0.1], got {node_epsilon}")
-    R = np.abs(wf.amplitudes)
-    r_max = float(R.max())
-    if r_max == 0.0:
+    psi = source.amplitudes
+    R = np.abs(psi)
+    r_max = R.max(axis=-1, keepdims=True)
+    if (r_max == 0.0).any():
         raise DomainError("cannot decompose an identically zero wavefunction")
     mask = R < node_epsilon * r_max
-    angle = np.angle(wf.amplitudes)
-    phi = params.hbar * angle  # masked points keep their principal value
-
-    # node-free segments are the runs of ~mask, read off the mask's edges
-    edges = np.flatnonzero(np.diff(np.concatenate(([False], ~mask, [False]))))
-    for start, stop in zip(edges[0::2].tolist(), edges[1::2].tolist()):
-        seg = slice(start, stop)
-        theta = np.unwrap(angle[seg])
-        anchor = int(np.argmax(R[seg]))
-        # unwrap preserves values mod 2*pi, so this shift count is an integer
-        shift = round((theta[anchor] - angle[seg][anchor]) / (2.0 * np.pi))
-        phi[seg] = params.hbar * (theta - 2.0 * np.pi * shift)
-    return PolarField(wf.grid, R, phi, mask)
+    phi = np.angle(psi)  # the principal angle, overwritten segment by segment
+    for r, angle, m in zip(np.atleast_2d(R), np.atleast_2d(phi), np.atleast_2d(mask)):
+        # node-free segments are the runs of ~m, read off the mask's edges
+        edges = np.flatnonzero(np.diff(np.concatenate(([False], ~m, [False]))))
+        for start, stop in zip(edges[0::2].tolist(), edges[1::2].tolist()):
+            seg = slice(start, stop)
+            theta = np.unwrap(angle[seg])
+            anchor = int(np.argmax(r[seg]))
+            # unwrap preserves values mod 2*pi, so this shift count is an integer
+            shift = round((theta[anchor] - angle[seg][anchor]) / (2.0 * np.pi))
+            angle[seg] = params.hbar * (theta - 2.0 * np.pi * shift)
+    np.multiply(phi, params.hbar, out=phi, where=mask)  # masked points keep their principal value
+    return PolarField(source.grid, R, phi, mask)
 
 
 def recompose(polar: PolarField, params: PhysicalParams) -> GridWavefunction:
@@ -193,20 +198,14 @@ def universe_density(polar: PolarField) -> np.ndarray:
 def record_polars(
     record: "EvolutionRecord", params: PhysicalParams, node_epsilon: float = DEFAULT_NODE_EPSILON
 ) -> PolarField:
-    """The record's snapshots decomposed into one (T, n) stack, one decompose call per row.
+    """The record decomposed into one (T, n) stack: one decompose call, held on the record.
 
-    Rows are written into preallocated arrays, so no second copy is held.
-    The stack is held on the record keyed by (hbar, node_epsilon); a call
-    with another key rebuilds it, so a record holds at most one stack.
+    The stack is keyed by (hbar, node_epsilon); a call with another key
+    rebuilds it, so a record holds at most one stack.
     """
     key = (params.hbar, node_epsilon)
     if record._polars is None or record._polars[0] != key:
-        grid, shape = record.grid, record.amplitudes.shape
-        R, phi, mask = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
-        for s, row in enumerate(record.amplitudes):
-            polar = decompose(GridWavefunction(grid, row), params, node_epsilon)
-            R[s], phi[s], mask[s] = polar.R, polar.phi, polar.node_mask
-        object.__setattr__(record, "_polars", (key, PolarField(grid, R, phi, mask)))
+        object.__setattr__(record, "_polars", (key, decompose(record, params, node_epsilon)))
     return record._polars[1]
 
 

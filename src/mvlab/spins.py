@@ -177,10 +177,8 @@ def apply_measurement(
 
 
 def singlet_branches(theta: float) -> list[Branch]:
-    """The singlet, particle 2's basis rotated to theta (if nonzero), measured with unset pointers."""
-    state = singlet(Direction(0.0))
-    if theta != 0.0:
-        state = rotate_second_basis(state, Direction(theta))
+    """The singlet, particle 2's basis rotated to theta, measured with unset pointers."""
+    state = rotate_second_basis(singlet(Direction(0.0)), Direction(theta))
     return apply_measurement(state, unset_pointers())
 
 

@@ -121,7 +121,7 @@ class TestGuards:
     def test_size_estimate_of_the_configs(self):
         expected = {
             "evolve": 16 * 256 * 6,  # 100 steps, stride 20
-            "universes": 16 * 512 * 11 + 8 * 64 * 11,  # 200 steps, stride 20, 64 trajectories
+            "universes": 33 * 512 * 11 + 8 * 64 * 11,  # 200 steps, stride 20, 64 trajectories
             "caustic": 16 * 256 + 2 * 8 * 16 * 103,  # round(1.2546 / 0.0123) + 1 recorded times
             "decompose": 16 * 256,
             "bell": 3 * 8 * 32,
@@ -135,6 +135,12 @@ class TestGuards:
             p = _validate(EXPERIMENTS[name][0], raw, name)
             assert (name, _estimated_bytes(name, p)) == (name, expected[name])
             assert expected[name] < MAX_RUN_BYTES
+
+    def test_size_estimate_counts_the_universes_polar_stack(self):
+        # 20 000 snapshots of 2048 points: amplitudes 16 B, then R and phi 8 B each and
+        # the node mask 1 B per point; only the estimate is computed, never the run
+        p = {"n_points": 2048, "n_steps": 19999, "snapshot_stride": 1, "n_trajectories": 64}
+        assert _estimated_bytes("universes", p) == (33 * 2048 + 8 * 64) * 20000 > MAX_RUN_BYTES
 
     def test_non_finite_dirichlet_step_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -199,6 +205,39 @@ class TestGuards:
         assert status == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "avoid node neighborhoods" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    # an integer past float range where a float is expected: float() would raise OverflowError
+    @pytest.mark.parametrize("experiment, override, name", [
+        ("evolve", "dt=1" + "0" * 400, "'dt'"),
+        ("bell", "angles=[0, 1, 1" + "0" * 400 + ", 2]", "'angles'"),
+    ], ids=["evolve-dt", "bell-angles"])
+    def test_integer_past_float_range_exits_2(self, tmp_path, capsys, experiment, override, name):
+        out = tmp_path / "out"
+        status = run_cli(experiment, "--config", str(CONFIGS / f"{experiment}.json"),
+                         "--set", override, "--out-dir", str(out))
+        assert status == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert name in err and "float range" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    # an integer literal longer than int() reads (4300 digits by default), in --set or in the file
+    @pytest.mark.parametrize("experiment, key", [("evolve", "n_steps"), ("evolve", "dt"),
+                                                 ("bell", "n_theta")])
+    @pytest.mark.parametrize("source", ["set", "file"])
+    def test_overlong_integer_literal_exits_2(self, tmp_path, capsys, experiment, key, source):
+        literal = "1" + "0" * 5000
+        if source == "set":
+            args = ("--config", str(CONFIGS / f"{experiment}.json"), "--set", f"{key}={literal}")
+        else:
+            text = (CONFIGS / f"{experiment}.json").read_text().rstrip().rstrip("}")
+            config = tmp_path / "c.json"
+            config.write_text(f'{text}, "{key}": {literal}}}')
+            args = ("--config", str(config))
+        out = tmp_path / "out"
+        assert run_cli(experiment, *args, "--out-dir", str(out)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err and "5001 digits" in err and len(err.strip().splitlines()) == 1
         assert not out.exists()
 
     def test_unanticipated_arithmetic_error_exits_3(self, tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -78,17 +79,20 @@ def assert_matches_loop(wf, params, node_epsilon=1e-6):
 
 
 @st.composite
-def amplitudes_with_zero_runs(draw):
-    """Random amplitudes with exact zeros forced at the start, the end, the middle, or all but one point."""
-    n = draw(st.integers(8, 64))
+def zero_run_row(draw, n):
+    """n random amplitudes with exact zeros forced at the start, the end, both ends, the middle, or all but one point."""
     part = st.floats(-1.0, 1.0, allow_nan=False)
     amps = np.array(draw(st.lists(part, min_size=n, max_size=n))) + 1j * np.array(
         draw(st.lists(part, min_size=n, max_size=n))
     )
-    where = draw(st.sampled_from(["start", "end", "middle", "all_but_one"]))
+    where = draw(st.sampled_from(["start", "end", "both_ends", "middle", "all_but_one"]))
     if where == "all_but_one":
         keep = draw(st.integers(0, n - 1))
         amps[np.arange(n) != keep] = 0.0
+    elif where == "both_ends":
+        head = draw(st.integers(1, n - 2))
+        amps[:head] = 0.0
+        amps[head + 1 + draw(st.integers(0, n - head - 2)):] = 0.0
     else:
         length = draw(st.integers(1, n - 2))
         if where == "start":
@@ -100,6 +104,18 @@ def amplitudes_with_zero_runs(draw):
         amps[start : start + length] = 0.0
     assume(np.abs(amps).max() > 0.0)
     return amps
+
+
+@st.composite
+def amplitudes_with_zero_runs(draw):
+    return draw(zero_run_row(draw(st.integers(8, 64))))
+
+
+@st.composite
+def stacks_with_zero_runs(draw):
+    """A (T, n) amplitude stack whose every row has its own forced zero runs."""
+    n = draw(st.integers(8, 64))
+    return np.stack([draw(zero_run_row(n)) for _ in range(draw(st.integers(1, 6)))])
 
 
 def odd_state(grid):
@@ -168,6 +184,30 @@ class TestSegmentSearch:
     def test_random_zero_runs_bitwise_equal_to_loop(self, amps, hbar, node_epsilon):
         wf = GridWavefunction(SpatialGrid(-1.0, 1.0, amps.size), amps)
         assert_matches_loop(wf, PhysicalParams(hbar=hbar), node_epsilon)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        amps=stacks_with_zero_runs(),
+        hbar=st.floats(0.25, 4.0),
+        node_epsilon=st.sampled_from([1e-6, 1e-3, 0.1]),
+    )
+    def test_stack_bitwise_equal_to_loop_row_by_row(self, amps, hbar, node_epsilon):
+        grid, params = SpatialGrid(-1.0, 1.0, amps.shape[1]), PhysicalParams(hbar=hbar)
+        polar = decompose(SimpleNamespace(grid=grid, amplitudes=amps), params, node_epsilon)
+        assert polar.R.shape == amps.shape
+        for s, row in enumerate(amps):
+            R, phi, mask = loop_decompose(GridWavefunction(grid, row), params, node_epsilon)
+            assert np.array_equal(polar.R[s], R)
+            assert np.array_equal(polar.phi[s], phi)
+            assert np.array_equal(polar.node_mask[s], mask)
+
+    @pytest.mark.parametrize("zero_rows", [slice(None), slice(1, 2)])
+    def test_stack_with_a_zero_row_rejected(self, zero_rows):
+        g = SpatialGrid(-16.0, 16.0, 64)
+        amps = np.ones((3, 64), dtype=complex)
+        amps[zero_rows] = 0.0
+        with pytest.raises(DomainError, match="identically zero"):
+            decompose(SimpleNamespace(grid=g, amplitudes=amps), PARAMS)
 
 
 class TestRecompose:
@@ -367,7 +407,7 @@ def odd_record(n=512, n_steps=120, stride=4):
 
 
 class TestRecordPolars:
-    """A record is decomposed once per snapshot, whichever consumers read it."""
+    """A record is decomposed in one call, whichever consumers read it."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -405,24 +445,24 @@ class TestRecordPolars:
         rec = odd_record()
         polars = record_polars(rec, PARAMS, 1e-3)
         assert polars.R.shape == rec.amplitudes.shape and len(polars) == len(rec.snapshots)
-        for polar, wf in zip(polars, rec.snapshots):
-            ref = decompose(wf, PARAMS, 1e-3)
-            assert np.array_equal(polar.R, ref.R) and np.array_equal(polar.phi, ref.phi)
-            assert np.array_equal(polar.node_mask, ref.node_mask)
+        assert polars.node_mask.any()
+        for polar, wf in zip(polars, rec.snapshots, strict=True):
+            R, phi, mask = loop_decompose(wf, PARAMS, 1e-3)
+            assert np.array_equal(polar.R, R) and np.array_equal(polar.phi, phi)
+            assert np.array_equal(polar.node_mask, mask)
 
     def test_one_stack_held_per_key(self, calls):
         rec = odd_record()
-        T = len(rec.snapshots)
         first = record_polars(rec, PARAMS)
         assert record_polars(rec, PARAMS) is first
         assert record_polars(rec, PhysicalParams(mass=2.0)) is first  # phi does not depend on m
-        assert calls["decompose"] == T
+        assert calls["decompose"] == 1
         other = record_polars(rec, PARAMS, 1e-3)
         assert other is not first and record_polars(rec, PARAMS, 1e-3) is other
         scaled = record_polars(rec, PhysicalParams(hbar=2.0))
         assert np.array_equal(scaled[3].phi, 2.0 * first[3].phi)
         assert record_polars(rec, PARAMS) is not first  # only the latest stack was held
-        assert calls["decompose"] == 4 * T
+        assert calls["decompose"] == 4
 
     def test_polar_to_csv_refuses_a_stack_before_writing(self, tmp_path):
         polars = record_polars(odd_record(), PARAMS)
@@ -441,14 +481,14 @@ class TestRecordPolars:
         ens = integrate_universes(rec, stratified_positions(record_polars(rec, PARAMS)[0], 40), PARAMS)
         ends = integrate_universes(rec, [-3.0, -1.0], PARAMS).positions
         density_transport_check(rec, ens, ends, PARAMS)
-        assert calls["decompose"] == len(rec.snapshots)
+        assert calls["decompose"] == 1
 
     def test_cli_universes_decomposes_each_snapshot_once(self, calls, tmp_path):
         config = Path(__file__).resolve().parent.parent / "configs" / "universes.json"
         parameters = json.loads(config.read_text())
         parameters.pop("experiment")
         assert run(ExperimentConfig("universes", parameters), tmp_path, quiet=True) == EXIT_OK
-        assert calls["decompose"] == parameters["n_steps"] // parameters["snapshot_stride"] + 1
+        assert calls["decompose"] == 1
 
     def test_reused_record_matches_fresh(self):
         rec = odd_record()

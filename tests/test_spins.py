@@ -23,6 +23,7 @@ from mvlab.spins import (
     four_world_split,
     rotate_second_basis,
     singlet,
+    singlet_branches,
     unset_pointers,
 )
 
@@ -266,6 +267,14 @@ class TestJsonExport:
             assert entry["weight"] == branch.weight
             assert entry["pointer1"] == branch.spin_labels[0]
             assert entry["pointer2"] == branch.spin_labels[1]
+
+    @pytest.mark.parametrize("theta", [0.0, -0.0])
+    def test_zero_angle_rotation_writes_the_unrotated_bytes(self, tmp_path, theta):
+        # a rotation by +-0 leaves every amplitude, signed zeros included, as it was
+        unrotated, rotated = tmp_path / "unrotated.json", tmp_path / "rotated.json"
+        branches_to_json(apply_measurement(singlet(Direction(0.0)), unset_pointers()), unrotated)
+        branches_to_json(singlet_branches(theta), rotated)
+        assert rotated.read_bytes() == unrotated.read_bytes()
 
     def test_basis_order_constant(self):
         assert BASIS_ORDER == (("up", "up"), ("up", "down"), ("down", "up"), ("down", "down"))
