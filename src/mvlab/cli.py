@@ -128,14 +128,19 @@ def _read_json(text: str):
 
 
 def _number(param: Param, value, integer: bool):
-    """One value of an int or float parameter (or list entry); a float must lie in float range."""
+    """One value of an int or float parameter (or list entry); a float must be finite."""
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         noun = "integers" if integer else "numbers"
         raise ConfigError(f"parameter {param.name!r} takes {noun}, got {value!r}")
+    if integer:
+        return value
     try:
-        return value if integer else float(value)
+        number = float(value)
     except OverflowError:  # an int past float range
         raise ConfigError(f"parameter {param.name!r} is past float range (about 1.8e308)") from None
+    if not math.isfinite(number):  # JSON's NaN, Infinity and literals such as 1e400
+        raise ConfigError(f"parameter {param.name!r} is not finite, got {number!r}")
+    return number
 
 
 def _coerce(param: Param, value):
@@ -413,7 +418,7 @@ def _estimated_bytes(experiment: str, p: dict) -> int:
             n_bytes += (17 * p["n_points"] + 8 * p["n_trajectories"]) * snapshots
     if experiment == "caustic":
         steps = p["t_total"] / p["dt"]
-        times = round(steps) + 1 if steps < MAX_RUN_BYTES else MAX_RUN_BYTES  # inf and nan too
+        times = round(steps) + 1 if steps < MAX_RUN_BYTES else MAX_RUN_BYTES  # an inf ratio too
         n_bytes += 2 * 8 * p["n_trajectories"] * times
     elif experiment == "bell":
         n_bytes += 3 * 8 * p["n_theta"]

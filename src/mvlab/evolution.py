@@ -4,9 +4,10 @@ Two wave integrators, selected by the grid's boundary kind. Periodic grids
 use a second-order split-step spectral scheme (norm-preserving to rounding)
 whose numpy FFTs run in one preallocated buffer. Dirichlet grids use
 Crank-Nicolson: its constant tridiagonal matrix is LU-factored once per
-evolution by LAPACK gttrf and each step is one gttrs solve. scipy's LAPACK
-wrappers are imported when a dirichlet evolution first needs them, so
-importing mvlab or evolving on a periodic grid never loads scipy.linalg. The
+evolution by LAPACK gttrf and each step is one gttrs solve. scipy supplies
+only those two compiled routines, loaded from its LAPACK extension module
+when a dirichlet evolution first needs them; no run imports scipy.linalg,
+and importing mvlab or evolving on a periodic grid loads no scipy at all. The
 classical companion integrates Newtonian characteristics with RK4 so that
 trajectory crossings - the caustics the wave equation never develops - can
 be produced and timed accurately.
@@ -15,6 +16,10 @@ An EvolutionRecord holds its snapshots as one (T, n) array, validated once.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,17 +179,43 @@ def _split_step_stepper(grid, V, params, dt):
     return step
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _gttr():
+    """LAPACK's complex128 zgttrf and zgttrs, from scipy's compiled _flapack module alone.
+
+    Both routines live in that one extension module, but importing it the usual
+    way runs scipy/linalg/__init__.py, which costs about 0.3 s and 27 MiB (it
+    pulls in scipy's array-API layer and numpy.f2py). So the extension is found
+    and executed on its own, after only the top-level `import scipy`, and is
+    registered in sys.modules under its full name: a later `import scipy.linalg`
+    reuses it, and get_lapack_funcs returns these same function objects.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        import scipy
+
+        spec = importlib.machinery.PathFinder.find_spec(
+            _FLAPACK, [os.path.join(scipy.__path__[0], "linalg")]
+        )
+        if spec is None:
+            raise ImportError(f"cannot find the extension module {_FLAPACK}", name=_FLAPACK)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_FLAPACK] = module
+    return module.zgttrf, module.zgttrs
+
+
 def _crank_nicolson_stepper(grid, V, params, dt):
     # H = -(hbar^2/2m) D2 + V with zero ghosts just outside the stored points;
     # (1 + r H) psi' = (1 - r H) psi, the left matrix LU-factored once
-    from scipy.linalg.lapack import get_lapack_funcs
-
     c = params.hbar**2 / (2.0 * params.mass * grid.dx**2)
     diag = 2.0 * c + V.values
     r = 1j * dt / (2.0 * params.hbar)
     off = np.full(grid.n_points - 1, -r * c, dtype=np.complex128)
     main = 1.0 + r * diag
-    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (main,))
+    gttrf, gttrs = _gttr()
     dl, d, du, du2, ipiv, info = gttrf(off, main, off)
     if info != 0:
         raise DomainError(f"Crank-Nicolson factorisation failed (LAPACK gttrf info={info})")

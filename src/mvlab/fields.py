@@ -378,8 +378,11 @@ def write_csv(path, header: str, blocks) -> None:
 
 
 def write_json(path, payload) -> None:
-    """Write payload as JSON with sorted keys and a 2-space indent, a final newline and LF endings."""
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Write payload as JSON with sorted keys and a 2-space indent, a final newline and LF endings.
+
+    Strict JSON: a NaN or infinite value raises ValueError before the file is opened.
+    """
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
 

@@ -106,7 +106,7 @@ class TestGuards:
         ("decompose", "n_points=100000000000"),
         ("universes", "n_trajectories=100000000000"),
         ("caustic", "dt=1e-12"),
-        ("caustic", "t_total=Infinity"),
+        ("caustic", "t_total=1e9"),
         ("bell", "n_theta=100000000000"),
         ("convergence", "N_values=[10, 100000000000]"),
     ])
@@ -141,6 +141,26 @@ class TestGuards:
         # the node mask 1 B per point; only the estimate is computed, never the run
         p = {"n_points": 2048, "n_steps": 19999, "snapshot_stride": 1, "n_trajectories": 64}
         assert _estimated_bytes("universes", p) == (33 * 2048 + 8 * 64) * 20000 > MAX_RUN_BYTES
+
+    # JSON's Infinity and NaN, and a literal past float range, are refused by name before any run
+    @pytest.mark.parametrize("experiment, override, name", [
+        ("evolve", "mass=Infinity", "mass"),
+        ("evolve", "dt=Infinity", "dt"),
+        ("evolve", "dt=1e400", "dt"),
+        ("evolve", "x_max=Infinity", "x_max"),
+        ("evolve", "hbar=-Infinity", "hbar"),
+        ("caustic", "t_total=Infinity", "t_total"),
+        ("bell", "angles=[0.0, NaN, 1.0, 2.0]", "angles"),
+    ])
+    def test_non_finite_float_exits_2(self, tmp_path, capsys, experiment, override, name):
+        out = tmp_path / "out"
+        status = run_cli(experiment, "--config", str(CONFIGS / f"{experiment}.json"),
+                         "--set", override, "--out-dir", str(out))
+        assert status == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"parameter {name!r} is not finite" in err
+        assert "Warning" not in err
+        assert not out.exists()
 
     def test_non_finite_dirichlet_step_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -177,14 +197,18 @@ class TestGuards:
         assert "finite square" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("k0", ["NaN", "1e308"])
-    def test_non_finite_k0_phase_exits_2(self, tmp_path, capsys, k0):
+    # NaN is refused as a parameter; 1e308 is finite, but its phase k0*x is not
+    @pytest.mark.parametrize("k0, message", [
+        ("NaN", "parameter 'k0' is not finite"),
+        ("1e308", "k0 must be finite"),
+    ], ids=["NaN", "1e308"])
+    def test_non_finite_k0_phase_exits_2(self, tmp_path, capsys, k0, message):
         out = tmp_path / "out"
         status = run_cli("evolve", "--config", str(CONFIGS / "evolve.json"), "--set", f"k0={k0}",
                          "--out-dir", str(out))
         assert status == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "k0 must be finite" in err and len(err.strip().splitlines()) == 1  # no numpy warnings
+        assert message in err and len(err.strip().splitlines()) == 1  # no numpy warnings
         assert not out.exists()
 
     def test_universes_interval_outside_grid_exits_2(self, tmp_path, capsys):
@@ -385,7 +409,7 @@ def imported_modules(tmp_path, *args):
 
 
 class TestStartupImports:
-    """scipy.linalg loads only when a dirichlet evolution needs LAPACK."""
+    """No run imports scipy.linalg; a dirichlet evolution loads only LAPACK's compiled module."""
 
     @pytest.mark.parametrize("module", ["mvlab", "mvlab.cli"])
     def test_import_leaves_out_scipy_linalg(self, tmp_path, module):
@@ -408,7 +432,7 @@ class TestStartupImports:
                 "--set", "boundary=dirichlet", "--out-dir", label, "--quiet",
             )
             assert status == EXIT_OK
-            assert "scipy.linalg" in modules
+            assert "scipy.linalg" not in modules
         runs = [tmp_path / label for label in ("run1", "run2")]
         assert (runs[0] / "evolution.csv").read_bytes() == (runs[1] / "evolution.csv").read_bytes()
         assert manifest_core(runs[0] / "manifest.json") == manifest_core(runs[1] / "manifest.json")

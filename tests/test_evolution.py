@@ -1,6 +1,13 @@
+import hashlib
+import importlib.machinery
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
-import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
@@ -8,6 +15,7 @@ from scipy.linalg import solve_banded
 from corpus import corpus
 from oracles import coherent_state, discrete_harmonic_ground_state, free_gaussian
 
+from mvlab import evolution
 from mvlab.errors import DomainError, StabilityError
 from mvlab.evolution import (
     EvolutionRecord,
@@ -28,6 +36,7 @@ from mvlab.fields import (
 )
 
 PARAMS = PhysicalParams()
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def oracle_split_step(grid, V, params, dt):
@@ -65,8 +74,8 @@ def oracle_crank_nicolson(grid, V, params, dt):
     return step
 
 
-def assert_record_matches_oracle(wf0, V, params, dt, n_steps, stride):
-    """Every snapshot of evolve_schrodinger is bit-for-bit the oracle stepper's state."""
+def oracle_amplitudes(wf0, V, params, dt, n_steps, stride):
+    """Every stride-th state of the oracle stepper for the grid's boundary, as one (T, n) array."""
     grid = wf0.grid
     oracle = oracle_split_step if grid.boundary == "periodic" else oracle_crank_nicolson
     step = oracle(grid, V, params, dt)
@@ -76,10 +85,16 @@ def assert_record_matches_oracle(wf0, V, params, dt, n_steps, stride):
         psi = step(psi)
         if k % stride == 0:
             expected.append(psi)
+    return np.stack(expected)
+
+
+def assert_record_matches_oracle(wf0, V, params, dt, n_steps, stride):
+    """Every snapshot of evolve_schrodinger is bit-for-bit the oracle stepper's state."""
+    expected = oracle_amplitudes(wf0, V, params, dt, n_steps, stride)
     record = evolve_schrodinger(wf0, V, params, dt, n_steps, stride)
     got = np.stack([wf.amplitudes for wf in record.snapshots])
-    assert got.shape == (len(expected), grid.n_points)
-    assert np.array_equal(got.view(np.float64), np.stack(expected).view(np.float64))
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.float64), expected.view(np.float64))
 
 
 @st.composite
@@ -242,19 +257,59 @@ class TestCrankNicolsonFailsClosed:
     # gttrf reports a singular factor with info > 0, either routine a bad argument with info < 0
     @pytest.mark.parametrize("routine, info", [("gttrf", 3), ("gttrf", -2), ("gttrs", -6)])
     def test_lapack_info_raises(self, monkeypatch, routine, info):
-        real = scipy.linalg.lapack.get_lapack_funcs
-
-        def failing(names, arrays):
-            funcs = dict(zip(names, real(names, arrays)))
-            wrapped = funcs[routine]
-            funcs[routine] = lambda *a, **kw: (*wrapped(*a, **kw)[:-1], info)
-            return tuple(funcs[name] for name in names)
-
-        monkeypatch.setattr(scipy.linalg.lapack, "get_lapack_funcs", failing)
+        funcs = dict(zip(("gttrf", "gttrs"), evolution._gttr()))
+        wrapped = funcs[routine]
+        funcs[routine] = lambda *a, **kw: (*wrapped(*a, **kw)[:-1], info)
+        monkeypatch.setattr(evolution, "_gttr", lambda: (funcs["gttrf"], funcs["gttrs"]))
         g = SpatialGrid(-8.0, 8.0, 64, "dirichlet")
         wf0 = make_gaussian_packet(g, 0.0, 1.0, 0.0, PARAMS)
         with pytest.raises(DomainError, match=f"{routine} info={info}"):
             evolve_schrodinger(wf0, free_potential(g), PARAMS, 1e-3, 5)
+
+
+# run in a fresh interpreter, where scipy.linalg is not yet imported
+STANDALONE_LAPACK = textwrap.dedent("""
+    import hashlib
+    import sys
+
+    import numpy as np
+
+    from mvlab.evolution import _gttr, evolve_schrodinger
+    from mvlab.fields import PhysicalParams, SpatialGrid, harmonic_potential, make_gaussian_packet
+
+    params = PhysicalParams()
+    g = SpatialGrid(-16.0, 16.0, 256, "dirichlet")
+    wf0 = make_gaussian_packet(g, -1.0, 1.0, 2.0, params)
+    record = evolve_schrodinger(wf0, harmonic_potential(g, 1.0, params), params, 1e-3, 300, 20)
+    assert "scipy.linalg" not in sys.modules
+    print(hashlib.sha256(record.amplitudes.tobytes()).hexdigest())
+
+    from scipy.linalg.lapack import get_lapack_funcs
+
+    funcs = get_lapack_funcs(("gttrf", "gttrs"), (np.zeros(4, dtype=np.complex128),))
+    assert all(a is b for a, b in zip(funcs, _gttr(), strict=True))
+""")
+
+
+class TestStandaloneLapack:
+    """gttrf and gttrs load from scipy's compiled module alone, without scipy.linalg."""
+
+    def test_fresh_interpreter_matches_oracle(self, tmp_path):
+        paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        proc = subprocess.run([sys.executable, "-c", STANDALONE_LAPACK], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        g = SpatialGrid(-16.0, 16.0, 256, "dirichlet")
+        wf0 = make_gaussian_packet(g, -1.0, 1.0, 2.0, PARAMS)
+        expected = oracle_amplitudes(wf0, harmonic_potential(g, 1.0, PARAMS), PARAMS, 1e-3, 300, 20)
+        assert proc.stdout.strip() == hashlib.sha256(expected.tobytes()).hexdigest()
+
+    def test_missing_extension_raises_import_error(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", lambda name, path: None)
+        with pytest.raises(ImportError, match="scipy.linalg._flapack"):
+            evolution._gttr()
 
 
 class TestGuards:

@@ -421,8 +421,15 @@ class TestParallelWriteCsv:
 
 class TestWriteJson:
     def test_sorted_indented_lf_bytes(self, tmp_path):
-        payload = {"b": [1, 0.1, float("nan")], "a": {"z": "up", "y": None}}
+        payload = {"b": [1, 0.1, -0.0], "a": {"z": "up", "y": None}}
         path = tmp_path / "out.json"
         write_json(path, payload)
         assert path.read_bytes() == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
         assert path.read_bytes().startswith(b'{\n  "a": {\n    "y": null,')
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_refused_before_open(self, tmp_path, bad):
+        path = tmp_path / "out.json"
+        with pytest.raises(ValueError):
+            write_json(path, {"a": 1, "b": [0.5, bad]})
+        assert not path.exists()
