@@ -12,6 +12,12 @@ Exit codes: 0 success, 2 config validation failure, 3 numerical guard
 (stability, capacity, or an arithmetic overflow that escaped validation),
 4 I/O failure. A run whose arrays are estimated from its parameters to
 exceed MAX_RUN_BYTES is refused with exit 3 before any of them is allocated.
+
+No run calls a threaded BLAS routine, so this module sets
+OPENBLAS_NUM_THREADS to 1, unless it is already set, before numpy loads:
+a CLI process starts no BLAS thread pool. `import mvlab` loads no module
+(each public name is imported on first use), so `python -m mvlab.cli`
+reaches that line first.
 """
 
 from __future__ import annotations
@@ -20,10 +26,14 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+
+# OpenBLAS reads this once, as numpy loads: here, not in main(), or the pool already exists
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 import scipy

@@ -300,7 +300,8 @@ def _fork_worker(part: str, blocks, lo: int, hi: int) -> tuple[int, int]:
     try:
         with warnings.catch_warnings():
             # Python >= 3.12 warns on fork() in any process with a second native thread,
-            # numpy's idle BLAS pool included; the worker calls no BLAS, it formats text
+            # numpy's idle BLAS pool included; the worker calls no BLAS, it formats text.
+            # The CLI starts no pool; the filter stays for library callers, who may have one.
             warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
             pid = os.fork()
     except OSError:

@@ -218,13 +218,16 @@ def _fold_angle(delta: float) -> float:
 
 
 def chsh(a: float, a_prime: float, b: float, b_prime: float) -> float:
-    """S = E(a-b) - E(a-b') + E(a'-b) + E(a'-b') from the closed-form correlation."""
-    return (
-        correlation(_fold_angle(a - b))
-        - correlation(_fold_angle(a - b_prime))
-        + correlation(_fold_angle(a_prime - b))
-        + correlation(_fold_angle(a_prime - b_prime))
-    )
+    """S = E(a-b) - E(a-b') + E(a'-b) + E(a'-b') from the closed-form correlation.
+
+    Each difference must be finite: two finite angles near +-1.8e308 can
+    differ by more than float range.
+    """
+    deltas = (a - b, a - b_prime, a_prime - b, a_prime - b_prime)
+    if not all(map(math.isfinite, deltas)):
+        raise DomainError(f"angles {[a, a_prime, b, b_prime]} must differ by finite amounts")
+    e = [correlation(_fold_angle(delta)) for delta in deltas]
+    return e[0] - e[1] + e[2] + e[3]
 
 
 def deterministic_chsh_values() -> list[float]:

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mvlab
 import mvlab.fields
 from mvlab.branchstats import convergence_demo, convergence_to_csv
 from mvlab.cli import (
@@ -161,6 +163,21 @@ class TestGuards:
         assert f"parameter {name!r} is not finite" in err
         assert "Warning" not in err
         assert not out.exists()
+
+    # each angle is finite, but a - b overflows when the two lie at opposite ends of float range
+    @pytest.mark.parametrize("angles, status", [
+        ("[1e308, 1e308, -1e308, -1e308]", EXIT_CONFIG),
+        ("[1e308, -1e308, 0, 0]", EXIT_OK),
+    ])
+    def test_bell_angle_differences_must_be_finite(self, tmp_path, capsys, angles, status):
+        out = tmp_path / "out"
+        assert run_cli("bell", "--config", str(CONFIGS / "bell.json"), "--set", f"angles={angles}",
+                       "--out-dir", str(out), "--quiet") == status
+        if status == EXIT_CONFIG:
+            assert "angles" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert math.isfinite(json.loads((out / "bell.json").read_text())["chsh"])
 
     def test_non_finite_dirichlet_step_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -396,11 +413,20 @@ class TestFailureModes:
         assert "key=value" in capsys.readouterr().err
 
 
-def imported_modules(tmp_path, *args):
-    """Exit status and every module a fresh interpreter imports, read from -X importtime."""
+def fresh_env(**overrides):
+    """This environment with src on PYTHONPATH and overrides set over it (None unsets)."""
     paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    proc = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=tmp_path, env=env,
+    for name, value in overrides.items():
+        env.pop(name, None)
+        if value is not None:
+            env[name] = value
+    return env
+
+
+def imported_modules(tmp_path, *args):
+    """Exit status and every module a fresh interpreter imports, read from -X importtime."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=tmp_path, env=fresh_env(),
                           capture_output=True, text=True, timeout=120)
     return proc.returncode, {
         line.rsplit("|", 1)[1].strip()
@@ -408,8 +434,75 @@ def imported_modules(tmp_path, *args):
     }
 
 
+def fresh_python(code, **env):
+    """stdout of a fresh interpreter running code, in fresh_env(**env)."""
+    proc = subprocess.run([sys.executable, "-c", code], env=fresh_env(**env), capture_output=True,
+                          text=True, timeout=120, check=True)
+    return proc.stdout
+
+
+# the package's public names, as its eager imports bound them before it loaded lazily
+PUBLIC_NAMES = {
+    "branchstats": "BranchSequence BranchTree FrequencyMoments central_moment central_moment_exact "
+                   "convergence_demo enumerate_branch_tree expected_frequency frequency_moments "
+                   "moment_scaling_report prob_r_given_N sample_observer_branch sequence_weight",
+    "errors": "CapacityError CommensurabilityError DomainError GuardError MvLabError ProtocolError "
+              "ResolutionError StabilityError",
+    "evolution": "ClassicalEnsembleRecord EvolutionRecord classical_ensemble_evolve evolve_schrodinger",
+    "fields": "GridWavefunction PhysicalParams PotentialField SpatialGrid free_potential "
+              "harmonic_potential make_gaussian_packet make_plane_wave norm_squared normalize",
+    "madelung": "PolarField QuantumPotentialField continuity_residual decompose "
+                "hamilton_jacobi_residual quantum_potential recompose universe_density",
+    "spins": "Branch Direction PointerLabel TwoSpinState aligned_probability apply_measurement chsh "
+             "classical_chsh_bound correlation four_world_split rotate_second_basis singlet "
+             "unset_pointers",
+    "universes": "TrajectoryEnsemble crossing_count density_transport_check integrate_universes "
+                 "stratified_positions transport_interval velocity_field",
+}
+EXPORTED = {name for names in PUBLIC_NAMES.values() for name in names.split()}
+SUBMODULES = {"branchstats", "cli", "errors", "evolution", "fields", "madelung", "spins", "universes"}
+
+
 class TestStartupImports:
-    """No run imports scipy.linalg; a dirichlet evolution loads only LAPACK's compiled module."""
+    """`import mvlab` loads nothing; no run imports scipy.linalg, and a dirichlet evolution
+    loads only LAPACK's compiled module; the CLI runs with one OpenBLAS thread."""
+
+    def test_import_mvlab_loads_no_module(self, tmp_path):
+        status, modules = imported_modules(tmp_path, "-c", "import mvlab")
+        assert status == 0
+        assert "mvlab" in modules
+        assert "numpy" not in modules
+        assert not [name for name in modules if name.startswith("mvlab.")]
+
+    def test_every_public_name_is_its_modules_object(self):
+        assert set(mvlab.__all__) == EXPORTED
+        assert len(mvlab.__all__) == len(EXPORTED)
+        for module, names in PUBLIC_NAMES.items():
+            for name in names.split():
+                assert getattr(mvlab, name) is getattr(importlib.import_module(f"mvlab.{module}"), name)
+
+    def test_star_import_and_dir_list_the_public_names(self):
+        namespace = {}
+        exec("from mvlab import *", namespace)
+        assert set(namespace) - {"__builtins__"} == EXPORTED
+        listed = {name for name in dir(mvlab) if not name.startswith("_")}
+        assert listed - SUBMODULES == EXPORTED
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            mvlab.no_such_name
+        with pytest.raises(ImportError):
+            exec("from mvlab import no_such_name", {})
+
+    @pytest.mark.parametrize("given, kept", [(None, "1"), ("3", "3")])
+    def test_cli_sets_one_openblas_thread_unless_set(self, given, kept):
+        code = "import os, mvlab.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert fresh_python(code, OPENBLAS_NUM_THREADS=given).split() == [kept]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc/self/task")
+    def test_cli_process_runs_one_thread(self):
+        code = "import os, mvlab.cli; print(len(os.listdir('/proc/self/task')))"
+        assert fresh_python(code, OPENBLAS_NUM_THREADS=None).split() == ["1"]
 
     @pytest.mark.parametrize("module", ["mvlab", "mvlab.cli"])
     def test_import_leaves_out_scipy_linalg(self, tmp_path, module):
