@@ -2,15 +2,16 @@
 
 Two wave integrators, selected by the grid's boundary kind. Periodic grids
 use a second-order split-step spectral scheme (norm-preserving to rounding)
-whose numpy FFTs run in one preallocated buffer. Dirichlet grids use
+whose FFTs run in place in one preallocated buffer through scipy's compiled
+pocketfft, bit for bit numpy's np.fft.fft and np.fft.ifft. Dirichlet grids use
 Crank-Nicolson: its constant tridiagonal matrix is LU-factored once per
-evolution by LAPACK gttrf and each step is one gttrs solve. scipy supplies
-only those two compiled routines, loaded from its LAPACK extension module
-when a dirichlet evolution first needs them; no run imports scipy.linalg,
-and importing mvlab or evolving on a periodic grid loads no scipy at all. The
-classical companion integrates Newtonian characteristics with RK4 so that
-trajectory crossings - the caustics the wave equation never develops - can
-be produced and timed accurately.
+evolution by LAPACK gttrf and each step is one gttrs solve. Each integrator
+loads the one scipy extension module it needs on its own, after only the
+top-level `import scipy`; no run imports scipy.fft or scipy.linalg, and
+importing mvlab loads no scipy at all. The classical companion integrates
+Newtonian characteristics with RK4 so that trajectory crossings - the
+caustics the wave equation never develops - can be produced and timed
+accurately.
 An EvolutionRecord holds its snapshots as one (T, n) array, validated once.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -161,56 +163,98 @@ def evolve_schrodinger(
     return EvolutionRecord(params, V, dt, stride, times, amplitudes)
 
 
+def _scipy_extension(name: str):
+    """The compiled scipy extension module of that full dotted name, loaded on its own.
+
+    Importing it the usual way runs its packages' __init__ files: scipy.linalg
+    or scipy.fft costs about 0.3 s and 25-27 MiB (scipy's array-API layer, and
+    numpy.f2py for linalg). So the extension is found in its directory under
+    scipy and executed on its own, after only the top-level `import scipy`, and
+    is registered in sys.modules under its full name: a later import of its
+    package reuses it, so scipy's own wrappers call these same functions.
+    """
+    module = sys.modules.get(name)
+    if module is None:
+        import scipy
+
+        package = name.split(".")[1:-1]
+        spec = importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(scipy.__path__[0], *package)]
+        )
+        if spec is None:
+            raise ImportError(f"cannot find the extension module {name}", name=name)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return module
+
+
+def _fft_in_place(buf):
+    """fft() and ifft() of the 1D complex128 buf in place, bit for bit np.fft.fft and np.fft.ifft.
+
+    Both are scipy's pocketfft c2c, the transform numpy's own np.fft runs, at
+    about half its fixed cost per call. The inverse runs unnormalised and then
+    scales each float64 component by the double 1/n, as numpy does: scipy's
+    own inorm=2 works out 1/n in long double, which rounds differently for
+    some n (2731 is the first) and would change bits. Only a NaN's sign can
+    differ, at some Bluestein sizes (2731, 7919); a record refuses NaN anyway.
+    """
+    c2c = _scipy_extension("scipy.fft._pocketfft.pypocketfft").c2c
+    parts, scale = buf.view(np.float64), np.reciprocal(np.float64(buf.size))
+
+    def fft():
+        c2c(buf, (0,), True, 0, buf, 1)
+
+    def ifft():
+        c2c(buf, (0,), False, 0, buf, 1)
+        np.multiply(parts, scale, out=parts)
+
+    return fft, ifft
+
+
 def _split_step_stepper(grid, V, params, dt):
     k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
+    # the largest phase, in Python floats (they overflow to inf without a numpy warning)
+    # and in the order the kinetic array below takes
+    k_max = float(np.max(np.abs(k)))
+    if not math.isfinite(params.hbar * (k_max * k_max) * dt / (2.0 * params.mass)):
+        raise DomainError(
+            f"the kinetic phase hbar*k_max**2*dt/(2*mass) is not finite (hbar={params.hbar}, "
+            f"dt={dt}, mass={params.mass}, dx={grid.dx})"
+        )
     kinetic = np.exp(-1j * params.hbar * k**2 * dt / (2.0 * params.mass))
     half_kick = np.exp(-1j * V.values * dt / (2.0 * params.hbar))
     buf = np.empty(grid.n_points, dtype=np.complex128)
+    fft, ifft = _fft_in_place(buf)
 
     def step(psi):
         # one buffer; every product keeps the operand order of the out-of-place step,
         # since swapping it (e.g. buf *= kinetic) changes bits
         np.multiply(half_kick, psi, out=buf)
-        np.fft.fft(buf, out=buf)
+        fft()
         np.multiply(kinetic, buf, out=buf)
-        np.fft.ifft(buf, out=buf)
+        ifft()
         return half_kick * buf
 
     return step
 
 
-_FLAPACK = "scipy.linalg._flapack"
-
-
 def _gttr():
-    """LAPACK's complex128 zgttrf and zgttrs, from scipy's compiled _flapack module alone.
-
-    Both routines live in that one extension module, but importing it the usual
-    way runs scipy/linalg/__init__.py, which costs about 0.3 s and 27 MiB (it
-    pulls in scipy's array-API layer and numpy.f2py). So the extension is found
-    and executed on its own, after only the top-level `import scipy`, and is
-    registered in sys.modules under its full name: a later `import scipy.linalg`
-    reuses it, and get_lapack_funcs returns these same function objects.
-    """
-    module = sys.modules.get(_FLAPACK)
-    if module is None:
-        import scipy
-
-        spec = importlib.machinery.PathFinder.find_spec(
-            _FLAPACK, [os.path.join(scipy.__path__[0], "linalg")]
-        )
-        if spec is None:
-            raise ImportError(f"cannot find the extension module {_FLAPACK}", name=_FLAPACK)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        sys.modules[_FLAPACK] = module
-    return module.zgttrf, module.zgttrs
+    """LAPACK's complex128 zgttrf and zgttrs, from scipy's compiled _flapack module alone."""
+    flapack = _scipy_extension("scipy.linalg._flapack")
+    return flapack.zgttrf, flapack.zgttrs
 
 
 def _crank_nicolson_stepper(grid, V, params, dt):
     # H = -(hbar^2/2m) D2 + V with zero ghosts just outside the stored points;
     # (1 + r H) psi' = (1 - r H) psi, the left matrix LU-factored once
-    c = params.hbar**2 / (2.0 * params.mass * grid.dx**2)
+    denominator = 2.0 * params.mass * grid.dx**2
+    c = params.hbar**2 / denominator if denominator > 0.0 else math.inf  # mass*dx**2 may underflow
+    if not (0.0 < c < math.inf):
+        raise DomainError(
+            f"the Crank-Nicolson coupling hbar**2/(2*mass*dx**2) is zero or not finite "
+            f"(hbar={params.hbar}, mass={params.mass}, dx={grid.dx})"
+        )
     diag = 2.0 * c + V.values
     r = 1j * dt / (2.0 * params.hbar)
     off = np.full(grid.n_points - 1, -r * c, dtype=np.complex128)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +227,29 @@ class TestGuards:
         assert status == EXIT_CONFIG
         err = capsys.readouterr().err
         assert message in err and len(err.strip().splitlines()) == 1  # no numpy warnings
+        assert not out.exists()
+
+    # each value is finite and in range, but hbar*k_max**2*dt/(2*mass) overflows, or
+    # 2*mass*dx**2 underflows to 0
+    @pytest.mark.parametrize("experiment, overrides, names", [
+        ("evolve", ["mass=1e-310"], ["kinetic phase", "hbar=", "dt=", "mass=1e-310"]),
+        ("evolve", ["mass=5e-324"], ["kinetic phase", "hbar=", "dt=", "mass=5e-324"]),
+        ("universes", ["mass=5e-324"], ["kinetic phase", "hbar=", "dt=", "mass=5e-324"]),
+        ("evolve", ["x_min=-1e-160", "x_max=1e-160"], ["kinetic phase", "dx=7.8125e-163"]),
+        ("evolve", ["boundary=dirichlet", "mass=5e-324"], ["Crank-Nicolson coupling", "hbar=", "mass=5e-324"]),
+        ("evolve", ["boundary=dirichlet", "x_min=-1e-160", "x_max=1e-160"],
+         ["Crank-Nicolson coupling", "dx=7.8125e-163"]),
+    ], ids=["evolve-1e-310", "evolve-5e-324", "universes-5e-324", "evolve-narrow-grid",
+            "dirichlet-5e-324", "dirichlet-narrow-grid"])
+    def test_unresolvable_step_exits_2(self, tmp_path, capsys, experiment, overrides, names):
+        out = tmp_path / "out"
+        sets = [arg for override in overrides for arg in ("--set", override)]
+        status = run_cli(experiment, "--config", str(CONFIGS / f"{experiment}.json"), *sets,
+                         "--out-dir", str(out))
+        assert status == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert all(name in err for name in names)
+        assert len(err.strip().splitlines()) == 1  # no numpy warnings
         assert not out.exists()
 
     def test_universes_interval_outside_grid_exits_2(self, tmp_path, capsys):
@@ -464,8 +488,9 @@ SUBMODULES = {"branchstats", "cli", "errors", "evolution", "fields", "madelung",
 
 
 class TestStartupImports:
-    """`import mvlab` loads nothing; no run imports scipy.linalg, and a dirichlet evolution
-    loads only LAPACK's compiled module; the CLI runs with one OpenBLAS thread."""
+    """`import mvlab` loads nothing; no run imports scipy.linalg or scipy.fft: a dirichlet
+    evolution loads only LAPACK's compiled module, a periodic one only pocketfft's; the CLI
+    runs with one OpenBLAS thread."""
 
     def test_import_mvlab_loads_no_module(self, tmp_path):
         status, modules = imported_modules(tmp_path, "-c", "import mvlab")
@@ -503,6 +528,23 @@ class TestStartupImports:
     def test_cli_process_runs_one_thread(self):
         code = "import os, mvlab.cli; print(len(os.listdir('/proc/self/task')))"
         assert fresh_python(code, OPENBLAS_NUM_THREADS=None).split() == ["1"]
+
+    # the extension is executed on its own, so -X importtime does not list it: read sys.modules
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc/self/task")
+    def test_periodic_evolve_loads_pocketfft_alone_on_one_thread(self, tmp_path):
+        code = textwrap.dedent(f"""
+            import os, sys
+            from mvlab.cli import main
+            status = main(["evolve", "--config", {str(CONFIGS / "evolve.json")!r},
+                           "--out-dir", {str(tmp_path / "out")!r}, "--quiet"])
+            print(status, len(os.listdir("/proc/self/task")))
+            print(*sorted(name for name in sys.modules if name.startswith("scipy.")))
+        """)
+        status_threads, modules = fresh_python(code, OPENBLAS_NUM_THREADS=None).splitlines()
+        assert status_threads.split() == [str(EXIT_OK), "1"]
+        assert (tmp_path / "out" / "evolution.csv").exists()
+        assert "scipy.fft._pocketfft.pypocketfft" in modules.split()
+        assert not {"scipy.fft", "scipy.linalg"} & set(modules.split())
 
     @pytest.mark.parametrize("module", ["mvlab", "mvlab.cli"])
     def test_import_leaves_out_scipy_linalg(self, tmp_path, module):

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.machinery
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -234,6 +235,64 @@ class TestSteppersMatchOracles:
         assert_record_matches_oracle(wf0, V, params, dt, n_steps, 1)
 
 
+def nan_as_one(z):
+    """The bytes of z's float64 components, every NaN written as the one quiet NaN."""
+    parts = z.view(np.float64)
+    return np.where(np.isnan(parts), np.nan, parts).tobytes()
+
+
+def assert_fft_route_is_numpy(x):
+    """The split step's in-place fft and ifft of x are np.fft.fft(x) and np.fft.ifft(x), byte for byte.
+
+    Only a NaN's sign bit is left out: at Bluestein sizes such as 2731 and 7919 the two
+    builds give some NaNs opposite signs, every other bit the same. A record refuses NaN.
+    """
+    forward, inverse = np.array(x, dtype=np.complex128), np.array(x, dtype=np.complex128)
+    evolution._fft_in_place(forward)[0]()
+    evolution._fft_in_place(inverse)[1]()
+    with np.errstate(all="ignore"):  # inf and nan inputs make numpy's fft ufunc flag invalid values
+        assert nan_as_one(forward) == nan_as_one(np.fft.fft(x))
+        assert nan_as_one(inverse) == nan_as_one(np.fft.ifft(x))
+
+
+def random_state(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+class TestFftBitContract:
+    """scipy's pocketfft in place, with numpy's double 1/n, gives numpy's np.fft bits."""
+
+    def test_every_size_to_4096(self):
+        for n in range(8, 4097):
+            assert_fft_route_is_numpy(random_state(n, seed=n))
+
+    # where scipy's long-double 1/n (its inorm=2) rounds differently from numpy's double 1/n
+    @pytest.mark.parametrize("n", [2731, 4623, 5462])
+    def test_sizes_where_long_double_scale_differs(self, n):
+        assert_fft_route_is_numpy(random_state(n))
+
+    @pytest.mark.parametrize("n", [7919, 10007, 131071])
+    def test_bluestein_sizes(self, n):
+        assert_fft_route_is_numpy(random_state(n))
+
+    @pytest.mark.parametrize("values", [
+        [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)],
+        [np.inf, -np.inf, complex(0.0, np.inf), complex(1.0, -np.inf), 2.0],
+        [np.nan, complex(1.0, np.nan), -1.0, 0.5],
+        [1e308, -1e308, complex(1e308, 1e308), complex(-1e308, 1e308)],
+        [1e308, 1.0, -0.0, np.inf, np.nan],
+    ], ids=["signed-zeros", "infinities", "nans", "1e308", "mixed"])
+    @pytest.mark.parametrize("n", [8, 12, 2731, 7919])
+    def test_special_values(self, values, n):
+        assert_fft_route_is_numpy(np.resize(np.array(values, dtype=np.complex128), n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(8, 6000), scale=st.floats(5e-324, 1e300), seed=st.integers(0, 2**32 - 1))
+    def test_random_sizes_and_scales(self, n, scale, seed):
+        assert_fft_route_is_numpy(scale * random_state(n, seed))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestCrankNicolsonFailsClosed:
     def stepper(self):
@@ -267,6 +326,14 @@ class TestCrankNicolsonFailsClosed:
             evolve_schrodinger(wf0, free_potential(g), PARAMS, 1e-3, 5)
 
 
+def run_fresh(code, cwd):
+    """A fresh interpreter running code with src on PYTHONPATH."""
+    paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
 # run in a fresh interpreter, where scipy.linalg is not yet imported
 STANDALONE_LAPACK = textwrap.dedent("""
     import hashlib
@@ -295,21 +362,50 @@ class TestStandaloneLapack:
     """gttrf and gttrs load from scipy's compiled module alone, without scipy.linalg."""
 
     def test_fresh_interpreter_matches_oracle(self, tmp_path):
-        paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-        proc = subprocess.run([sys.executable, "-c", STANDALONE_LAPACK], cwd=tmp_path, env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = run_fresh(STANDALONE_LAPACK, tmp_path)
         assert proc.returncode == 0, proc.stderr
         g = SpatialGrid(-16.0, 16.0, 256, "dirichlet")
         wf0 = make_gaussian_packet(g, -1.0, 1.0, 2.0, PARAMS)
         expected = oracle_amplitudes(wf0, harmonic_potential(g, 1.0, PARAMS), PARAMS, 1e-3, 300, 20)
         assert proc.stdout.strip() == hashlib.sha256(expected.tobytes()).hexdigest()
 
-    def test_missing_extension_raises_import_error(self, monkeypatch):
-        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+
+# run in a fresh interpreter: a periodic evolution loads pocketfft alone, and scipy.fft reuses it
+STANDALONE_POCKETFFT = textwrap.dedent("""
+    import sys
+
+    from mvlab.evolution import evolve_schrodinger
+    from mvlab.fields import PhysicalParams, SpatialGrid, free_potential, make_gaussian_packet
+
+    params = PhysicalParams()
+    g = SpatialGrid(-16.0, 16.0, 256)
+    evolve_schrodinger(make_gaussian_packet(g, -1.0, 1.0, 2.0, params), free_potential(g), params, 1e-3, 5)
+    name = "scipy.fft._pocketfft.pypocketfft"
+    loaded = sys.modules[name]
+    assert "scipy.fft" not in sys.modules and "scipy.linalg" not in sys.modules
+
+    import scipy.fft
+
+    assert scipy.fft._pocketfft.basic.pfft is loaded and sys.modules[name] is loaded
+""")
+
+
+class TestStandaloneExtensions:
+    """Both scipy extension modules load through one path, without their packages."""
+
+    def test_pocketfft_loads_alone_and_is_reused(self, tmp_path):
+        proc = run_fresh(STANDALONE_POCKETFFT, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("module, load", [
+        ("scipy.linalg._flapack", lambda: evolution._gttr()),
+        ("scipy.fft._pocketfft.pypocketfft", lambda: evolution._fft_in_place(np.zeros(8, complex))),
+    ], ids=["flapack", "pocketfft"])
+    def test_missing_extension_raises_import_error(self, monkeypatch, module, load):
+        monkeypatch.delitem(sys.modules, module, raising=False)
         monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", lambda name, path: None)
-        with pytest.raises(ImportError, match="scipy.linalg._flapack"):
-            evolution._gttr()
+        with pytest.raises(ImportError, match=re.escape(module)):
+            load()
 
 
 class TestGuards:
@@ -332,6 +428,18 @@ class TestGuards:
         wf0 = make_gaussian_packet(g, 0.0, 1.0, 0.0, PARAMS)
         with pytest.raises(DomainError):
             evolve_schrodinger(wf0, free_potential(g), PARAMS, 1e-3, 100, snapshot_stride=7)
+
+    # each mass is positive, but the kinetic phase overflows, or 2*mass*dx**2 underflows to 0
+    @pytest.mark.parametrize("boundary, mass, message", [
+        ("periodic", 1e-310, r"kinetic phase .*hbar=1\.0, dt=0\.001, mass=1e-310"),
+        ("periodic", 5e-324, r"kinetic phase .*hbar=1\.0, dt=0\.001, mass=5e-324"),
+        ("dirichlet", 5e-324, r"Crank-Nicolson coupling .*hbar=1\.0, mass=5e-324"),
+    ])
+    def test_tiny_mass_refused_before_stepping(self, boundary, mass, message):
+        g = SpatialGrid(-16.0, 16.0, 256, boundary)
+        wf0 = make_gaussian_packet(g, 0.0, 1.0, 0.0, PARAMS)
+        with pytest.raises(DomainError, match=message):
+            evolve_schrodinger(wf0, free_potential(g), PhysicalParams(mass=mass), 1e-3, 10)
 
     def test_default_stride_caps_snapshots(self):
         g = SpatialGrid(-16.0, 16.0, 64)
