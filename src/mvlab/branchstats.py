@@ -329,8 +329,8 @@ class ConvergenceRow:
 def convergence_demo(N_values, p: float, seed: int) -> list[ConvergenceRow]:
     """Sampled |f - p| against the exact 3*sqrt(pq/N) envelope, per N."""
     ns = [int(n) for n in N_values]
-    if len(ns) < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
-        raise DomainError("N_values must be an increasing sequence")
+    if len(ns) < 1 or ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
+        raise DomainError("N_values must be an increasing sequence of integers >= 1")
     p = _checked(ns[0], p)  # the Ns increase, so the first is the least
     q = 1.0 - p
     rows = []

@@ -65,7 +65,8 @@ from .fields import (
     write_json,
 )
 from .madelung import (
-    decompose, polar_to_csv, quantum_potential, quantum_potential_to_csv, record_polars
+    DEFAULT_NODE_EPSILON, decompose, polar_to_csv, quantum_potential, quantum_potential_to_csv,
+    record_polars,
 )
 from .spins import (
     branch_correlation,
@@ -187,24 +188,14 @@ def _validate(schema: list[Param], raw: dict, experiment: str) -> dict:
     return out
 
 
-_GRID = [
-    Param("x_min", "float"),
-    Param("x_max", "float"),
-    Param("n_points", "int", check=lambda v: v >= 8, note="n_points >= 8"),
-    Param("boundary", "str", check=lambda v: v in ("periodic", "dirichlet"),
-          note="'periodic' or 'dirichlet'"),
-]
-_PHYSICS = [
-    Param("hbar", "float", check=lambda v: v > 0, note="hbar > 0"),
-    Param("mass", "float", check=lambda v: v > 0, note="mass > 0"),
-]
-_PACKET = [
-    Param("x0", "float"),
-    Param("sigma", "float", check=lambda v: v > 0, note="sigma > 0"),
-    Param("k0", "float"),
-]
-_NODE_EPS = Param(
-    "node_epsilon", "float", required=False, default=1e-6,
+# A range rule lives in the library object that owns the number; a `check` here covers only
+# a value that no library call refuses, or refuses only after the costly part of the run.
+_GRID = [Param("x_min", "float"), Param("x_max", "float"), Param("n_points", "int"),
+         Param("boundary", "str")]
+_PHYSICS = [Param("hbar", "float"), Param("mass", "float")]
+_PACKET = [Param("x0", "float"), Param("sigma", "float"), Param("k0", "float")]
+_NODE_EPS = Param(  # a universes run decomposes, so refuses it, only after the whole evolution
+    "node_epsilon", "float", required=False, default=DEFAULT_NODE_EPSILON,
     check=lambda v: 0 < v <= 0.1, note="0 < node_epsilon <= 0.1",
 )
 
@@ -249,6 +240,7 @@ def _run_decompose(p):
 def _run_universes(p):
     params = PhysicalParams(p["hbar"], p["mass"])
     grid = _build_grid(p)
+    ends = transport_interval(grid, (p["interval_a"], p["interval_b"]))
     wf0 = _build_packet(p, grid, params)
     record = evolve_schrodinger(
         wf0, free_potential(grid), params, p["dt"], p["n_steps"], p["snapshot_stride"]
@@ -256,7 +248,6 @@ def _run_universes(p):
     polar0 = record_polars(record, params, p["node_epsilon"])[0]
     m = p["n_trajectories"]
     starts = stratified_positions(polar0, m)
-    ends = transport_interval(grid, (p["interval_a"], p["interval_b"]))
     # one integration for the ensemble and the interval's endpoints; the rows are views
     run = integrate_universes(record, np.concatenate((starts, ends)), params, p["node_epsilon"])
     ensemble = TrajectoryEnsemble(run.times, run.positions[:m], run.kind, frozen_at=run.frozen_at[:m])
@@ -274,6 +265,10 @@ def _run_caustic(p):
     grid = _build_grid(p)
     if not (p["span"] < min(abs(grid.x_min), abs(grid.x_max))):
         raise ConfigError("parameter 'span' must fit inside the grid")
+    # checked in Python floats, which overflow to inf with no numpy warning; RK4 sums 6 velocities
+    v_max = p["span"] / p["focus_time"]
+    if not (math.isfinite(6.0 * v_max) and math.isfinite(p["span"] + v_max * p["t_total"])):
+        raise ConfigError("parameters 'span', 'focus_time' and 't_total' take paths past float range")
     positions = np.linspace(-p["span"], p["span"], p["n_trajectories"])
     velocities = -positions / p["focus_time"]
     n_steps = int(round(p["t_total"] / p["dt"]))
@@ -343,23 +338,23 @@ def _run_convergence(p):
 EXPERIMENTS = {
     "evolve": (
         _GRID + _PHYSICS + _PACKET + [
+            # _build_potential runs any other potential as free, and a free run never reads omega
             Param("potential", "str", check=lambda v: v in ("free", "harmonic"),
                   note="'free' or 'harmonic'"),
             Param("omega", "float", required=False, check=lambda v: v > 0, note="omega > 0"),
-            Param("dt", "float", check=lambda v: v > 0, note="dt > 0"),
-            Param("n_steps", "int", check=lambda v: v >= 0, note="n_steps >= 0"),
-            Param("snapshot_stride", "int", required=False,
-                  check=lambda v: v >= 1, note="snapshot_stride >= 1"),
+            Param("dt", "float"),
+            Param("n_steps", "int"),
+            Param("snapshot_stride", "int", required=False),
         ],
         _run_evolve,
     ),
     "decompose": (_GRID + _PHYSICS + _PACKET + [_NODE_EPS], _run_decompose),
     "universes": (
         _GRID + _PHYSICS + _PACKET + [
-            Param("dt", "float", check=lambda v: v > 0, note="dt > 0"),
+            Param("dt", "float"),
+            # 0 steps would write a one-snapshot run; n_trajectories is refused after the evolution
             Param("n_steps", "int", check=lambda v: v >= 1, note="n_steps >= 1"),
-            Param("snapshot_stride", "int", required=False,
-                  check=lambda v: v >= 1, note="snapshot_stride >= 1"),
+            Param("snapshot_stride", "int", required=False),
             Param("n_trajectories", "int", check=lambda v: v >= 1, note="n_trajectories >= 1"),
             Param("interval_a", "float"),
             Param("interval_b", "float"),
@@ -368,6 +363,7 @@ EXPERIMENTS = {
         _run_universes,
     ),
     "caustic": (
+        # _run_caustic makes arrays of these before any library rule; the size guard divides by dt
         _GRID + _PHYSICS + [
             Param("n_trajectories", "int", check=lambda v: v >= 2, note="n_trajectories >= 2"),
             Param("span", "float", check=lambda v: v > 0, note="span > 0"),
@@ -378,17 +374,15 @@ EXPERIMENTS = {
         _run_caustic,
     ),
     "spin_split": (
-        [Param("theta", "float", check=lambda v: 0 <= v <= math.pi, note="0 <= theta <= pi")],
+        [Param("theta", "float")],
         _run_spin_split,
     ),
     "branch_stats": (
-        [
-            Param("N", "int", check=lambda v: v >= 1, note="N >= 1"),
-            Param("p", "float", check=lambda v: 0 <= v <= 1, note="0 <= p <= 1"),
-        ],
+        [Param("N", "int"), Param("p", "float")],
         _run_branch_stats,
     ),
     "bell": (
+        # _run_bell itself unpacks four angles and spaces n_theta points
         [
             Param("angles", "float_list", check=lambda v: len(v) == 4,
                   note="exactly 4 analyzer angles"),
@@ -398,10 +392,9 @@ EXPERIMENTS = {
     ),
     "convergence": (
         [
-            Param("N_values", "int_list",
-                  check=lambda v: all(n >= 1 for n in v) and all(b > a for a, b in zip(v, v[1:])),
-                  note="increasing integers >= 1"),
-            Param("p", "float", check=lambda v: 0 <= v <= 1, note="0 <= p <= 1"),
+            Param("N_values", "int_list"),
+            Param("p", "float"),
+            # where --seed lands (main sets it): refused by its key before the run
             Param("seed", "int", check=lambda v: v >= 0, note="seed >= 0"),
         ],
         _run_convergence,

@@ -37,14 +37,14 @@ BOUNDARIES = ("periodic", "dirichlet")
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Planck constant and particle mass, both strictly positive; hbar**2 must be finite."""
+    """Planck constant and particle mass, both strictly positive; hbar**2 and 1/hbar must be finite."""
 
     hbar: float = 1.0
     mass: float = 1.0
 
     def __post_init__(self):
-        if not (self.hbar > 0.0 and math.isfinite(self.hbar * self.hbar)):
-            raise DomainError(f"hbar must be positive with a finite square, got {self.hbar}")
+        if not (self.hbar > 0.0 and math.isfinite(self.hbar * self.hbar) and math.isfinite(1.0 / self.hbar)):
+            raise DomainError(f"hbar must be positive with a finite square and reciprocal, got {self.hbar}")
         if not (self.mass > 0.0):
             raise DomainError(f"mass must be positive, got {self.mass}")
 

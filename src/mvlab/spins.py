@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .errors import DomainError, ProtocolError
 from .fields import write_json
 
-SPIN_LABELS = ("up", "down")
 BASIS_ORDER = (("up", "up"), ("up", "down"), ("down", "up"), ("down", "down"))
 READINGS = ("unset", "up", "down")
 
