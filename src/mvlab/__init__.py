@@ -34,12 +34,7 @@ _EXPORTS = {
         "ResolutionError",
         "StabilityError",
     ),
-    "evolution": (
-        "ClassicalEnsembleRecord",
-        "EvolutionRecord",
-        "classical_ensemble_evolve",
-        "evolve_schrodinger",
-    ),
+    "evolution": ("EvolutionRecord", "evolve_schrodinger"),
     "fields": (
         "GridWavefunction",
         "PhysicalParams",
@@ -78,7 +73,9 @@ _EXPORTS = {
         "unset_pointers",
     ),
     "universes": (
+        "ClassicalEnsembleRecord",
         "TrajectoryEnsemble",
+        "classical_ensemble_evolve",
         "crossing_count",
         "density_transport_check",
         "integrate_universes",

@@ -69,11 +69,14 @@ class BranchSequence:
         return "".join("1" if o else "0" for o in self.outcomes)
 
 
+def _weight(p: float, r: int, n: int) -> float:
+    """p^r * (1-p)^(n-r): the one definition of a branch weight, in Python floats."""
+    return p**r * (1.0 - p) ** (n - r)
+
+
 def sequence_weight(s: BranchSequence, p: float) -> float:
     """Weight p^r * (1-p)^(N-r) of one outcome sequence."""
-    p = _checked(s.n, p)
-    r = s.aligned_count
-    return p**r * (1.0 - p) ** (s.n - r)
+    return _weight(_checked(s.n, p), s.aligned_count, s.n)
 
 
 def _popcounts(n: int) -> np.ndarray:
@@ -139,8 +142,7 @@ def enumerate_branch_tree(N: int, p: float) -> BranchTree:
             f"N={N} exceeds the enumeration cap {ENUMERATION_CAP}; use the closed-form "
             "operations (prob_r_given_N, expected_frequency, central_moment) instead"
         )
-    r = _popcounts(N)
-    weights = np.power(p, r) * np.power(1.0 - p, N - r)
+    weights = np.array([_weight(p, r, N) for r in range(N + 1)])[_popcounts(N)]
     return BranchTree(N, p, weights)
 
 

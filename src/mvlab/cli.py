@@ -9,9 +9,10 @@ Each pipeline computes all of its results before any file is opened; its
 writers only format them, through the shared write_csv and write_json.
 
 Exit codes: 0 success, 2 config validation failure, 3 numerical guard
-(stability, capacity, or an arithmetic overflow that escaped validation),
-4 I/O failure. A run whose arrays are estimated from its parameters to
-exceed MAX_RUN_BYTES is refused with exit 3 before any of them is allocated.
+(stability, capacity, or an arithmetic overflow that escaped validation: a
+pipeline runs with numpy's floating-point errors raised), 4 I/O failure. A
+run whose arrays are estimated from its parameters to exceed MAX_RUN_BYTES
+is refused with exit 3 before any of them is allocated.
 
 No run calls a threaded BLAS routine, so this module sets
 OPENBLAS_NUM_THREADS to 1, unless it is already set, before numpy loads:
@@ -48,13 +49,7 @@ from .branchstats import (
     expected_frequency,
 )
 from .errors import CapacityError, DomainError, GuardError, MvLabError, ProtocolError
-from .evolution import (
-    MAX_DEFAULT_SNAPSHOTS,
-    classical_ensemble_evolve,
-    classical_to_csv,
-    evolution_to_csv,
-    evolve_schrodinger,
-)
+from .evolution import MAX_DEFAULT_SNAPSHOTS, evolution_to_csv, evolve_schrodinger
 from .fields import (
     PhysicalParams,
     SpatialGrid,
@@ -78,6 +73,8 @@ from .spins import (
 )
 from .universes import (
     TrajectoryEnsemble,
+    classical_ensemble_evolve,
+    classical_to_csv,
     crossing_count,
     density_transport_check,
     integrate_universes,
@@ -463,14 +460,15 @@ def run(config: ExperimentConfig, out_dir=".", quiet: bool = False) -> int:
                 f"the run needs about {n_bytes >> 20} MiB of arrays, "
                 f"over the {MAX_RUN_BYTES >> 20} MiB cap; reduce its size parameters"
             )
-        outputs = pipeline(parameters)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            outputs = pipeline(parameters)
     except (ConfigError, DomainError, ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except GuardError as exc:
         print(f"error: numerical guard tripped: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except ArithmeticError as exc:  # an overflow no validator anticipated
+    except ArithmeticError as exc:  # an overflow no validator anticipated: numpy's raise here too
         print(f"error: arithmetic failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_GUARD
 

@@ -1,4 +1,4 @@
-"""Deterministic time evolution: unitary wave propagation and classical flows.
+"""Deterministic time evolution: unitary wave propagation.
 
 Two wave integrators, selected by the grid's boundary kind. Periodic grids
 use a second-order split-step spectral scheme (norm-preserving to rounding)
@@ -8,10 +8,8 @@ Crank-Nicolson: its constant tridiagonal matrix is LU-factored once per
 evolution by LAPACK gttrf and each step is one gttrs solve. Each integrator
 loads the one scipy extension module it needs on its own, after only the
 top-level `import scipy`; no run imports scipy.fft or scipy.linalg, and
-importing mvlab loads no scipy at all. The classical companion integrates
-Newtonian characteristics with RK4 so that trajectory crossings - the
-caustics the wave equation never develops - can be produced and timed
-accurately.
+importing mvlab loads no scipy at all. The trajectory flows, Bohmian and
+classical, live in mvlab.universes, which this module does not import.
 An EvolutionRecord holds its snapshots as one (T, n) array, validated once.
 """
 
@@ -34,11 +32,8 @@ from .fields import (
     PotentialField,
     SpatialGrid,
     _freeze,
-    gradient,
-    interpolator,
     write_csv,
 )
-from .universes import TrajectoryEnsemble
 
 MAX_DEFAULT_SNAPSHOTS = 512
 UNITARITY_TOLERANCE = 1e-8
@@ -83,23 +78,6 @@ class EvolutionRecord:
     def snapshots(self) -> tuple[GridWavefunction, ...]:
         """Each row as its own GridWavefunction (a copy per row)."""
         return tuple(GridWavefunction(self.grid, row) for row in self.amplitudes)
-
-
-@dataclass(frozen=True, eq=False)
-class ClassicalEnsembleRecord:
-    """Newtonian characteristics: positions and velocities per particle per time.
-
-    velocities is copied and made read-only.
-    """
-
-    params: PhysicalParams
-    potential: PotentialField
-    ensemble: TrajectoryEnsemble
-    velocities: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.velocities, dtype=np.float64)
-        _freeze(self, "velocities", v, self.ensemble.positions.shape)
 
 
 def _auto_stride(n_steps: int) -> int:
@@ -279,74 +257,6 @@ def _crank_nicolson_stepper(grid, V, params, dt):
     return step
 
 
-def classical_ensemble_evolve(
-    initial_positions,
-    initial_velocities,
-    V: PotentialField,
-    params: PhysicalParams,
-    dt: float,
-    n_steps: int,
-) -> ClassicalEnsembleRecord:
-    """Integrate x'' = -dV/dx / m for an ensemble with classic RK4.
-
-    The force is the centered finite difference of the sampled potential,
-    linearly interpolated between grid points. On dirichlet grids a
-    trajectory leaving the domain is flagged with its escape time and held
-    at its last position; on periodic grids positions wrap for force
-    evaluation but are recorded unwrapped.
-    """
-    grid = V.grid
-    x = np.array(initial_positions, dtype=np.float64)
-    v = np.array(initial_velocities, dtype=np.float64)
-    if x.ndim != 1 or x.shape != v.shape or x.size == 0:
-        raise DomainError("positions and velocities must be matching nonempty 1D sequences")
-    if not np.all((x >= grid.x_min) & (x <= grid.x_max)):  # NaN fails too
-        raise DomainError("initial positions must lie within the grid")
-    if not np.all(np.isfinite(v)):
-        raise DomainError("initial velocities must be finite")
-    if not (dt > 0.0):
-        raise DomainError(f"dt must be positive, got {dt}")
-    if n_steps < 0:
-        raise DomainError(f"n_steps must be nonnegative, got {n_steps}")
-
-    force = interpolator(grid, -gradient(V.values, grid))
-
-    def accel(pos):
-        return force(pos) / params.mass
-
-    m_traj = x.size
-    positions = np.empty((m_traj, n_steps + 1))
-    velocities = np.empty((m_traj, n_steps + 1))
-    positions[:, 0] = x
-    velocities[:, 0] = v
-    escaped = np.zeros(m_traj, dtype=bool)
-    escaped_at = np.full(m_traj, np.nan)
-
-    for step in range(1, n_steps + 1):
-        k1x, k1v = v, accel(x)
-        k2x, k2v = v + 0.5 * dt * k1v, accel(x + 0.5 * dt * k1x)
-        k3x, k3v = v + 0.5 * dt * k2v, accel(x + 0.5 * dt * k2x)
-        k4x, k4v = v + dt * k3v, accel(x + dt * k3x)
-        x_new = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        v_new = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        x = np.where(escaped, x, x_new)
-        v = np.where(escaped, v, v_new)
-        if grid.boundary != "periodic":
-            out = ~escaped & ((x < grid.x_min) | (x > grid.x_max))
-            if np.any(out):
-                # hold at the boundary it crossed; recorded positions stay finite
-                x = np.where(out, np.clip(x, grid.x_min, grid.x_max), x)
-                v = np.where(out, 0.0, v)
-                escaped_at[out] = step * dt
-                escaped |= out
-        positions[:, step] = x
-        velocities[:, step] = v
-
-    times = np.arange(n_steps + 1) * dt
-    ensemble = TrajectoryEnsemble(times, positions, "classical", escaped_at=escaped_at)
-    return ClassicalEnsembleRecord(params, V, ensemble, velocities)
-
-
 def evolution_to_csv(record: EvolutionRecord, path) -> None:
     """Write long-format columns t,x,re,im,R2 with LF line endings."""
     n, times = record.grid.n_points, record.times.tolist()
@@ -358,13 +268,3 @@ def evolution_to_csv(record: EvolutionRecord, path) -> None:
 
     write_csv(path, "t,x,re,im,R2", LazyBlocks(len(times), block))
 
-
-def classical_to_csv(record: ClassicalEnsembleRecord, path) -> None:
-    """Write columns t,particle_id,x,v with LF line endings."""
-    ens, times = record.ensemble, record.ensemble.times.tolist()
-    ids = list(map(str, range(ens.n_trajectories)))
-
-    def block(s):
-        return [repr(times[s])] * len(ids), ids, ens.positions[:, s], record.velocities[:, s]
-
-    write_csv(path, "t,particle_id,x,v", LazyBlocks(len(times), block))

@@ -130,6 +130,10 @@ def harmonic_potential(
     if not (omega > 0.0 and math.isfinite(omega * omega)):
         raise DomainError(f"omega must be positive with a finite square, got {omega}")
     x = grid.points
+    reach = max(abs(float(x[0]) - center), abs(float(x[-1]) - center))  # the largest |x - center|
+    if not math.isfinite(0.5 * params.mass * (omega * omega) * (reach * reach)):  # Python floats: inf, no warning
+        raise DomainError(f"the harmonic potential 0.5*mass*omega**2*(x - center)**2 is past float "
+                          f"range on the grid (omega={omega}, mass={params.mass})")
     return PotentialField(grid, 0.5 * params.mass * omega**2 * (x - center) ** 2)
 
 

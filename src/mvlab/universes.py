@@ -1,9 +1,12 @@
-"""Trajectory ensembles transported by the phase flow of the wave.
+"""Trajectory ensembles: the Bohmian phase flow of the wave and the classical flow.
 
 R^2 is treated as a conserved density of trajectories ("universes") carried
 by the velocity v = grad(phi)/m. In one dimension a caustic is exactly a
 change of trajectory ordering, so sorting gives an exact crossing detector;
 the quantum flow never reorders, the classical converging flow does.
+Both flows share one start rule (_starts), one classic RK4 stage (_rk4) and one
+stop rule, a NaN flag time meaning never: integrate_universes steps x once per
+snapshot interval, classical_ensemble_evolve steps the stacked state (x, v).
 integrate_universes reads madelung.record_polars, so each snapshot of a
 record is decomposed once, and derives the velocity VELOCITY_BLOCK snapshots
 at a time: a whole-stack velocity would hold another (T, n) array.
@@ -21,8 +24,10 @@ from .errors import DomainError
 from .fields import (
     LazyBlocks,
     PhysicalParams,
+    PotentialField,
     SpatialGrid,
     _freeze,
+    gradient,
     grid_offset,
     interpolator,
     write_csv,
@@ -83,6 +88,23 @@ class TrajectoryEnsemble:
         return self.positions.shape[0]
 
 
+@dataclass(frozen=True, eq=False)
+class ClassicalEnsembleRecord:
+    """Newtonian characteristics: positions and velocities per particle per time.
+
+    velocities is copied and made read-only.
+    """
+
+    params: PhysicalParams
+    potential: PotentialField
+    ensemble: TrajectoryEnsemble
+    velocities: np.ndarray
+
+    def __post_init__(self):
+        v = np.array(self.velocities, dtype=np.float64)
+        _freeze(self, "velocities", v, self.ensemble.positions.shape)
+
+
 def velocity_field(polar: PolarField, params: PhysicalParams) -> np.ndarray:
     """v_j = (grad phi)_j / m, NaN within MASK_DILATION cells of a node (the freeze zone)."""
     v = phase_gradient(polar.phi, polar.grid, params.hbar) / params.mass
@@ -100,6 +122,24 @@ def _zone_lookup(grid: SpatialGrid, zone: np.ndarray):
     return in_zone
 
 
+def _starts(grid: SpatialGrid, positions) -> np.ndarray:
+    """The start positions as a new float64 array, once they are nonempty, 1D and inside the grid."""
+    x = np.array(positions, dtype=np.float64)
+    if x.ndim != 1 or x.size == 0:
+        raise DomainError("initial positions must be a nonempty 1D sequence")
+    if not np.all((x >= grid.x_min) & (x <= grid.x_max)):  # NaN fails too
+        raise DomainError("initial positions must lie within the grid")
+    return x
+
+
+def _rk4(rate, y, t, h, k1):
+    """One classic RK4 step of dy/dt = rate(y, t) from y at t, given its first stage k1."""
+    k2 = rate(y + 0.5 * h * k1, t + 0.5 * h)
+    k3 = rate(y + 0.5 * h * k2, t + 0.5 * h)
+    k4 = rate(y + h * k3, t + h)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def integrate_universes(
     record: "EvolutionRecord",
     initial_positions,
@@ -115,12 +155,7 @@ def integrate_universes(
     frozen in place and flagged, not dropped.
     """
     grid = record.grid
-    x = np.array(initial_positions, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise DomainError("initial_positions must be a nonempty 1D sequence")
-    if not np.all((x >= grid.x_min) & (x <= grid.x_max)):  # NaN fails too
-        raise DomainError("initial positions must lie within the grid")
-
+    x = _starts(grid, initial_positions)
     polars = record_polars(record, params, node_epsilon)
 
     def flows():  # per snapshot: the velocity, zero on the node zone, and the zone
@@ -154,17 +189,65 @@ def integrate_universes(
             at0, at1 = interp(pos, offset)
             return (1.0 - w) * at0 + w * at1
 
-        k1 = vel(x, t0, offset)
-        k2 = vel(x + 0.5 * h * k1, t0 + 0.5 * h)
-        k3 = vel(x + 0.5 * h * k2, t0 + 0.5 * h)
-        k4 = vel(x + h * k3, t0 + h)
         live = np.isnan(frozen_at)
-        x = np.where(live, x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), x)
+        x = np.where(live, _rk4(vel, x, t0, h, vel(x, t0, offset)), x)
         offset = grid_offset(grid, x)
         frozen_at[live & in_zone(offset)] = t0 + h
         positions[:, s + 1] = x
 
     return TrajectoryEnsemble(times.copy(), positions, "bohmian", frozen_at=frozen_at)
+
+
+def classical_ensemble_evolve(
+    initial_positions,
+    initial_velocities,
+    V: PotentialField,
+    params: PhysicalParams,
+    dt: float,
+    n_steps: int,
+) -> ClassicalEnsembleRecord:
+    """Integrate x'' = -dV/dx / m for an ensemble with classic RK4 on the state (x, v).
+
+    The force is the centered finite difference of the sampled potential,
+    linearly interpolated between grid points. On dirichlet grids a
+    trajectory leaving the domain is flagged with its escape time and held
+    at its last position; on periodic grids positions wrap for force
+    evaluation but are recorded unwrapped.
+    """
+    grid = V.grid
+    x = _starts(grid, initial_positions)
+    v = np.array(initial_velocities, dtype=np.float64)
+    if v.shape != x.shape or not np.all(np.isfinite(v)):
+        raise DomainError("initial velocities must be finite, one per initial position")
+    if not (dt > 0.0):
+        raise DomainError(f"dt must be positive, got {dt}")
+    if n_steps < 0:
+        raise DomainError(f"n_steps must be nonnegative, got {n_steps}")
+
+    force = interpolator(grid, -gradient(V.values, grid))
+
+    def rate(y, t):  # d(x, v)/dt = (v, F(x)/m), the same at every t
+        return np.stack((y[1], force(y[0]) / params.mass))
+
+    times = np.arange(n_steps + 1) * dt
+    positions = np.empty((x.size, n_steps + 1))
+    velocities = np.empty((x.size, n_steps + 1))
+    y = np.stack((x, v))
+    positions[:, 0], velocities[:, 0] = y
+    escaped_at = np.full(x.size, np.nan)
+
+    for step, t in enumerate(times[:-1], start=1):
+        live = np.isnan(escaped_at)
+        y = np.where(live, _rk4(rate, y, t, dt, rate(y, t)), y)
+        if grid.boundary != "periodic":  # hold at the boundary it crossed; positions stay finite
+            out = live & ((y[0] < grid.x_min) | (y[0] > grid.x_max))
+            y[0, out] = np.clip(y[0, out], grid.x_min, grid.x_max)
+            y[1, out] = 0.0
+            escaped_at[out] = step * dt
+        positions[:, step], velocities[:, step] = y
+
+    ensemble = TrajectoryEnsemble(times, positions, "classical", escaped_at=escaped_at)
+    return ClassicalEnsembleRecord(params, V, ensemble, velocities)
 
 
 def crossing_count(ensemble: TrajectoryEnsemble) -> int:
@@ -292,3 +375,14 @@ def trajectories_to_csv(ensemble: TrajectoryEnsemble, path) -> None:
         return [repr(t)] * m, ids, ensemble.positions[:, s], kind, flags
 
     write_csv(path, "t,trajectory_id,x,kind,flags", LazyBlocks(len(times), block))
+
+
+def classical_to_csv(record: ClassicalEnsembleRecord, path) -> None:
+    """Write columns t,particle_id,x,v with LF line endings."""
+    ens, times = record.ensemble, record.ensemble.times.tolist()
+    ids = list(map(str, range(ens.n_trajectories)))
+
+    def block(s):
+        return [repr(times[s])] * len(ids), ids, ens.positions[:, s], record.velocities[:, s]
+
+    write_csv(path, "t,particle_id,x,v", LazyBlocks(len(times), block))

@@ -1,10 +1,11 @@
 """Independent analytic oracles used across the test suite.
 
-Everything here is closed-form mathematics evaluated directly, with three
+Everything here is closed-form mathematics evaluated directly, with four
 exceptions that reuse mvlab's single-snapshot building blocks as a reference
 for how they are combined: branch_correlation (the spin branches),
-per_snapshot_residual_pair (the residual pair evaluated snapshot by snapshot)
-and per_snapshot_universes (the trajectory integration, likewise). csv_bytes
+per_snapshot_residual_pair (the residual pair evaluated snapshot by snapshot),
+per_snapshot_universes (the trajectory integration, likewise) and
+per_step_classical (the classical RK4 on separate x and v arrays). csv_bytes
 is the CSV format written out one field at a time.
 """
 
@@ -229,6 +230,49 @@ def per_snapshot_universes(record, starts, params, node_epsilon):
         frozen |= newly
         positions[:, s + 1] = x
     return positions, frozen_at
+
+
+def per_step_classical(x, v, V, params, dt, n_steps):
+    """classical_ensemble_evolve's positions, velocities and escaped_at, on separate x and v.
+
+    The loop that mvlab.universes' stacked (x, v) state replaced: each RK4
+    stage is written out for x and v apart, and an escaped trajectory is
+    tracked by a bool array beside its escape time.
+    """
+    from mvlab.fields import gradient, interpolator
+
+    grid = V.grid
+    x = np.array(x, dtype=np.float64)
+    v = np.array(v, dtype=np.float64)
+    force = interpolator(grid, -gradient(V.values, grid))
+
+    def accel(pos):
+        return force(pos) / params.mass
+
+    positions = np.empty((x.size, n_steps + 1))
+    velocities = np.empty((x.size, n_steps + 1))
+    positions[:, 0] = x
+    velocities[:, 0] = v
+    escaped = np.zeros(x.size, dtype=bool)
+    escaped_at = np.full(x.size, np.nan)
+    for step in range(1, n_steps + 1):
+        k1x, k1v = v, accel(x)
+        k2x, k2v = v + 0.5 * dt * k1v, accel(x + 0.5 * dt * k1x)
+        k3x, k3v = v + 0.5 * dt * k2v, accel(x + 0.5 * dt * k2x)
+        k4x, k4v = v + dt * k3v, accel(x + dt * k3x)
+        x_new = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        v_new = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        x = np.where(escaped, x, x_new)
+        v = np.where(escaped, v, v_new)
+        if grid.boundary != "periodic":
+            out = ~escaped & ((x < grid.x_min) | (x > grid.x_max))
+            x = np.where(out, np.clip(x, grid.x_min, grid.x_max), x)
+            v = np.where(out, 0.0, v)
+            escaped_at[out] = step * dt
+            escaped |= out
+        positions[:, step] = x
+        velocities[:, step] = v
+    return positions, velocities, escaped_at
 
 
 def csv_bytes(header, blocks) -> bytes:

@@ -24,7 +24,7 @@ from oracles import (
 
 from mvlab.branchstats import central_moment_exact, enumerate_branch_tree, moment_scaling_report
 from mvlab.cli import EXIT_OK, main as cli_main
-from mvlab.evolution import classical_ensemble_evolve, evolve_schrodinger
+from mvlab.evolution import evolve_schrodinger
 from mvlab.fields import (
     PhysicalParams,
     SpatialGrid,
@@ -48,6 +48,7 @@ from mvlab.spins import (
     unset_pointers,
 )
 from mvlab.universes import (
+    classical_ensemble_evolve,
     crossing_count,
     density_transport_check,
     integrate_universes,

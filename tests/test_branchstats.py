@@ -66,6 +66,14 @@ class TestBranchTree:
         for seq, w in tree.entries():
             assert abs(w - sequence_weight(seq, 0.25)) < 1e-16
 
+    # one definition of a weight: the tree's float is sequence_weight's, bit for bit, for any p
+    @settings(max_examples=60, deadline=None)
+    @given(N=st.integers(1, 12), p=st.floats(0.0, 1.0), data=st.data())
+    def test_weights_equal_sequence_weight_exactly(self, N, p, data):
+        tree = enumerate_branch_tree(N, p)
+        for k in data.draw(st.lists(st.integers(0, 2**N - 1), min_size=1, max_size=64)):
+            assert tree.weights[k] == sequence_weight(tree.sequence(k), p)
+
     def test_aggregation_reproduces_closed_form(self):
         tree = enumerate_branch_tree(12, 0.25)
         for r in range(13):

@@ -348,13 +348,6 @@ class TestGuards:
 EDGE_FLOATS = (0.0, -0.0, 5e-324, 1e-310, -1e-310, 2.3e-308, 1e-307, 1e-300, 1e-160, 1e154,
                1e300, -1e300, 1.7e308, -1.7e308)
 EDGE_INTS = (-1, 0, 1, 2, 7, 8, 9)
-# known overflows that still escape every validator (RuntimeWarning, which pytest raises)
-OPEN_OVERFLOWS = {
-    ("decompose", "hbar", 1e154): "quantum_potential overflows: exit 0, inf in quantum_potential.csv",
-    ("decompose", "mass", 2.3e-308): "quantum_potential overflows: exit 0, inf in quantum_potential.csv",
-    ("universes", "mass", 2.3e-308): "velocity_field overflows",
-    ("universes", "mass", 1e-307): "velocity_field overflows",
-}
 
 
 def edge_cases():
@@ -362,10 +355,7 @@ def edge_cases():
     for experiment, (schema, _) in EXPERIMENTS.items():
         for param in schema:
             for value in {"float": EDGE_FLOATS, "int": EDGE_INTS}.get(param.kind, ()):
-                defect = OPEN_OVERFLOWS.get((experiment, param.name, value))
-                marks = pytest.mark.xfail(strict=True, reason=f"{defect} (ROADMAP item 5)") if defect else ()
-                yield pytest.param(experiment, param.name, value, id=f"{experiment}-{param.name}={value!r}",
-                                   marks=marks)
+                yield pytest.param(experiment, param.name, value, id=f"{experiment}-{param.name}={value!r}")
 
 
 # an edge value exits 0 or with a documented code and one line; a refusal writes nothing
@@ -378,6 +368,24 @@ def test_edge_value_exits_cleanly(tmp_path, capsys, experiment, name, value):
     assert len(capsys.readouterr().err.splitlines()) <= 1
     if status in (EXIT_CONFIG, EXIT_GUARD):
         assert not out.exists()
+
+
+# in a real process, which would print a numpy RuntimeWarning that pytest raises in process
+@pytest.mark.parametrize("experiment, overrides, status, named", [
+    ("decompose", ["hbar=1e154"], EXIT_GUARD, "FloatingPointError"),
+    ("universes", ['boundary="dirichlet"', "dt=1.7e308"], EXIT_GUARD, "FloatingPointError"),
+    ("evolve", ['potential="harmonic"', "omega=1.0", "mass=1.7e308"], EXIT_CONFIG, "mass=1.7e+308"),
+], ids=["decompose-hbar", "universes-dirichlet-dt", "evolve-harmonic-mass"])
+def test_overflow_in_a_cli_process_exits_with_one_line(tmp_path, experiment, overrides, status, named):
+    out = tmp_path / "out"
+    argv = [sys.executable, "-m", "mvlab.cli", experiment, "--config", str(CONFIGS / f"{experiment}.json"),
+            "--out-dir", str(out)]
+    for override in overrides:
+        argv += ["--set", override]
+    proc = subprocess.run(argv, env=fresh_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == status
+    assert len(proc.stderr.splitlines()) == 1 and named in proc.stderr, proc.stderr
+    assert not out.exists()
 
 
 class TestRuns:
@@ -534,7 +542,7 @@ PUBLIC_NAMES = {
                    "moment_scaling_report prob_r_given_N sample_observer_branch sequence_weight",
     "errors": "CapacityError CommensurabilityError DomainError GuardError MvLabError ProtocolError "
               "ResolutionError StabilityError",
-    "evolution": "ClassicalEnsembleRecord EvolutionRecord classical_ensemble_evolve evolve_schrodinger",
+    "evolution": "EvolutionRecord evolve_schrodinger",
     "fields": "GridWavefunction PhysicalParams PotentialField SpatialGrid free_potential "
               "harmonic_potential make_gaussian_packet make_plane_wave norm_squared normalize",
     "madelung": "PolarField QuantumPotentialField continuity_residual decompose "
@@ -542,8 +550,9 @@ PUBLIC_NAMES = {
     "spins": "Branch Direction PointerLabel TwoSpinState aligned_probability apply_measurement chsh "
              "classical_chsh_bound correlation four_world_split rotate_second_basis singlet "
              "unset_pointers",
-    "universes": "TrajectoryEnsemble crossing_count density_transport_check integrate_universes "
-                 "stratified_positions transport_interval velocity_field",
+    "universes": "ClassicalEnsembleRecord TrajectoryEnsemble classical_ensemble_evolve crossing_count "
+                 "density_transport_check integrate_universes stratified_positions transport_interval "
+                 "velocity_field",
 }
 EXPORTED = {name for names in PUBLIC_NAMES.values() for name in names.split()}
 SUBMODULES = {"branchstats", "cli", "errors", "evolution", "fields", "madelung", "spins", "universes"}
@@ -574,6 +583,10 @@ class TestStartupImports:
         assert set(namespace) - {"__builtins__"} == EXPORTED
         listed = {name for name in dir(mvlab) if not name.startswith("_")}
         assert listed - SUBMODULES == EXPORTED
+
+    def test_evolution_loads_no_trajectory_module(self):
+        code = "import sys, mvlab.evolution; print(*sorted(m for m in sys.modules if m.startswith('mvlab.')))"
+        assert fresh_python(code).split() == ["mvlab.errors", "mvlab.evolution", "mvlab.fields"]
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):

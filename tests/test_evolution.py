@@ -18,12 +18,7 @@ from oracles import coherent_state, discrete_harmonic_ground_state, free_gaussia
 
 from mvlab import evolution
 from mvlab.errors import DomainError, StabilityError
-from mvlab.evolution import (
-    EvolutionRecord,
-    _crank_nicolson_stepper,
-    classical_ensemble_evolve,
-    evolve_schrodinger,
-)
+from mvlab.evolution import EvolutionRecord, _crank_nicolson_stepper, evolve_schrodinger
 from mvlab.fields import (
     GridWavefunction,
     PhysicalParams,
@@ -35,6 +30,7 @@ from mvlab.fields import (
     make_plane_wave,
     norm_squared,
 )
+from mvlab.universes import classical_ensemble_evolve
 
 PARAMS = PhysicalParams()
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import mvlab.fields
 from mvlab.branchstats import BranchTree
 from mvlab.errors import CommensurabilityError, DomainError, ResolutionError
-from mvlab.evolution import ClassicalEnsembleRecord, EvolutionRecord
+from mvlab.evolution import EvolutionRecord
 from mvlab.fields import (
     GridWavefunction,
     LazyBlocks,
@@ -20,6 +20,7 @@ from mvlab.fields import (
     SpatialGrid,
     free_potential,
     gradient,
+    harmonic_potential,
     interpolator,
     laplacian,
     make_gaussian_packet,
@@ -31,7 +32,7 @@ from mvlab.fields import (
     write_json,
 )
 from mvlab.madelung import PolarField, decompose
-from mvlab.universes import TrajectoryEnsemble
+from mvlab.universes import ClassicalEnsembleRecord, TrajectoryEnsemble
 from oracles import csv_bytes
 
 PARAMS = PhysicalParams()
@@ -109,6 +110,18 @@ class TestGaussianPacket:
         make_gaussian_packet(g, 0.0, 4.0, -5.0, PARAMS)
         with pytest.raises(ResolutionError, match="k0"):
             make_gaussian_packet(g, 0.0, 4.0, -5.1, PARAMS)
+
+
+class TestHarmonicPotential:
+    # (x - center)**2 reaches 400 on grid(); 1e150 keeps the largest value finite, near 2e302
+    @pytest.mark.parametrize("omega, mass", [(1.0, 1.7e308), (1e154, 1.0), (1e150, 1e10)])
+    def test_potential_past_float_range_names_omega_and_mass(self, omega, mass):
+        with pytest.raises(DomainError, match=r"past float range.*omega=.*mass="):
+            harmonic_potential(grid(), omega, PhysicalParams(1.0, mass))
+
+    def test_largest_finite_potential_is_kept(self):
+        V = harmonic_potential(grid(), 1e150, PARAMS)
+        assert np.isfinite(V.values).all() and V.values.max() > 1e302
 
 
 class TestPlaneWave:

@@ -10,10 +10,11 @@ from oracles import (
     free_gaussian_trajectory,
     free_gaussian_velocity,
     per_snapshot_universes,
+    per_step_classical,
 )
 
 from mvlab.errors import DomainError
-from mvlab.evolution import classical_ensemble_evolve, evolve_schrodinger
+from mvlab.evolution import evolve_schrodinger
 from mvlab.fields import (
     GridWavefunction,
     PhysicalParams,
@@ -28,6 +29,7 @@ from mvlab.madelung import MASK_DILATION, decompose, dilate_mask, record_polars
 from mvlab.universes import (
     VELOCITY_BLOCK,
     TrajectoryEnsemble,
+    classical_ensemble_evolve,
     crossing_count,
     density_transport_check,
     integrate_universes,
@@ -219,6 +221,41 @@ class TestOnePass:
         head = TrajectoryEnsemble(both.times, both.positions[:2], "bohmian", frozen_at=both.frozen_at[:2])
         assert np.shares_memory(head.positions, both.positions)
         assert not head.positions.flags.writeable
+
+
+class TestClassicalFlow:
+    """classical_ensemble_evolve steps the stacked (x, v) through the RK4 stage the Bohmian flow uses."""
+
+    @pytest.mark.parametrize("case", ["periodic-caustic", "dirichlet-escape", "harmonic"])
+    def test_stacked_state_equals_the_per_step_loop(self, case):
+        if case == "periodic-caustic":
+            g = SpatialGrid(-10.0, 10.0, 256)
+            V, x, dt, n = free_potential(g), np.linspace(-4.0, 4.0, 16), 0.0123, 102
+            v = -x / 1.0
+        elif case == "dirichlet-escape":
+            g = SpatialGrid(-2.0, 2.0, 64, "dirichlet")
+            V, x, dt, n = free_potential(g), np.linspace(-1.5, 1.5, 9), 1e-2, 50
+            v = np.linspace(-10.0, 10.0, 9)
+        else:
+            g = SpatialGrid(-8.0, 8.0, 512, "dirichlet")
+            V, x, dt, n = harmonic_potential(g, 1.0, PARAMS), np.linspace(-3.0, 3.0, 11), 1e-3, 3000
+            v = np.sin(x)
+        rec = classical_ensemble_evolve(x, v, V, PARAMS, dt, n)
+        positions, velocities, escaped_at = per_step_classical(x, v, V, PARAMS, dt, n)
+        assert rec.ensemble.positions.tobytes() == positions.tobytes()
+        assert rec.velocities.tobytes() == velocities.tobytes()
+        assert rec.ensemble.escaped_at.tobytes() == escaped_at.tobytes()
+        if case == "dirichlet-escape":
+            assert np.isfinite(escaped_at).any() and np.isnan(escaped_at).any()
+
+    @pytest.mark.parametrize("positions, velocities", [
+        ([0.0, 1.0], [0.0]), ([0.0], [0.0, 1.0]), ([], []), ([0.0, 1.0], [[0.0, 1.0]]),
+        ([0.0, 1.0], [0.0, np.nan]), ([0.0], [np.inf]),
+    ], ids=["short", "long", "empty", "2d", "nan", "inf"])
+    def test_rejects_mismatched_empty_or_non_finite_velocities(self, positions, velocities):
+        g = SpatialGrid(-10.0, 10.0, 256)
+        with pytest.raises(DomainError, match="initial"):
+            classical_ensemble_evolve(positions, velocities, free_potential(g), PARAMS, 1e-2, 10)
 
 
 class TestCrossingCount:
