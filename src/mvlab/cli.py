@@ -1,5 +1,6 @@
 """Command-line front end: validated experiment configs in, CSV/JSON out.
 
+Each EXPERIMENTS entry holds one experiment's schema, size rule and pipeline.
 Every run writes its declared outputs plus a manifest.json recording the
 resolved configuration, library versions, wall time, and a sha256 checksum
 per output file. All randomness flows through the single `seed` parameter;
@@ -11,8 +12,8 @@ writers only format them, through the shared write_csv and write_json.
 Exit codes: 0 success, 2 config validation failure, 3 numerical guard
 (stability, capacity, or an arithmetic overflow that escaped validation: a
 pipeline runs with numpy's floating-point errors raised), 4 I/O failure. A
-run whose arrays are estimated from its parameters to exceed MAX_RUN_BYTES
-is refused with exit 3 before any of them is allocated.
+run whose size rule puts its arrays over MAX_RUN_BYTES is refused with
+exit 3 before any of them is allocated.
 
 No run calls a threaded BLAS routine, so this module sets
 OPENBLAS_NUM_THREADS to 1, unless it is already set, before numpy loads:
@@ -30,8 +31,10 @@ import math
 import os
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 # OpenBLAS reads this once, as numpy loads: here, not in main(), or the pool already exists
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -88,7 +91,7 @@ EXIT_CONFIG = 2
 EXIT_GUARD = 3
 EXIT_IO = 4
 
-MAX_RUN_BYTES = 1 << 30  # a run whose _estimated_bytes exceed this exits 3
+MAX_RUN_BYTES = 1 << 30  # a run whose Experiment.size exceeds this exits 3
 
 
 class ConfigError(MvLabError):
@@ -332,8 +335,32 @@ def _run_convergence(p):
     return {"convergence.csv": lambda path: convergence_to_csv(rows, path)}
 
 
+class Experiment(NamedTuple):
+    """One CLI experiment: its schema, its size rule and its pipeline.
+
+    `size(p)` is the bytes of the run's largest arrays, from its validated parameters alone:
+    a wave snapshot is 16 B per grid point and its polar decomposition 17 B (R, phi, node mask),
+    a trajectory table 8 B per trajectory per recorded time, a sampled column 8 B per value.
+    """
+    schema: list[Param]
+    size: Callable[[dict], int]
+    run: Callable[[dict], dict]
+
+
+def _snapshots(p):
+    """An evolve or universes run's snapshots: one per stride, else the default cap."""
+    n_steps, stride = p["n_steps"], p["snapshot_stride"]
+    return (n_steps // stride if stride else min(n_steps, MAX_DEFAULT_SNAPSHOTS)) + 1
+
+
+def _caustic_size(p):  # one grid, plus positions and velocities at every step
+    steps = p["t_total"] / p["dt"]
+    times = round(steps) + 1 if steps < MAX_RUN_BYTES else MAX_RUN_BYTES  # an inf ratio too
+    return 16 * p["n_points"] + 2 * 8 * p["n_trajectories"] * times
+
+
 EXPERIMENTS = {
-    "evolve": (
+    "evolve": Experiment(
         _GRID + _PHYSICS + _PACKET + [
             # _build_potential runs any other potential as free, and a free run never reads omega
             Param("potential", "str", check=lambda v: v in ("free", "harmonic"),
@@ -343,10 +370,12 @@ EXPERIMENTS = {
             Param("n_steps", "int"),
             Param("snapshot_stride", "int", required=False),
         ],
-        _run_evolve,
+        lambda p: 16 * p["n_points"] * _snapshots(p), _run_evolve,
     ),
-    "decompose": (_GRID + _PHYSICS + _PACKET + [_NODE_EPS], _run_decompose),
-    "universes": (
+    "decompose": Experiment(
+        _GRID + _PHYSICS + _PACKET + [_NODE_EPS], lambda p: 16 * p["n_points"], _run_decompose
+    ),
+    "universes": Experiment(
         _GRID + _PHYSICS + _PACKET + [
             Param("dt", "float"),
             # 0 steps would write a one-snapshot run; n_trajectories is refused after the evolution
@@ -357,10 +386,10 @@ EXPERIMENTS = {
             Param("interval_b", "float"),
             _NODE_EPS,
         ],
-        _run_universes,
+        lambda p: (33 * p["n_points"] + 8 * p["n_trajectories"]) * _snapshots(p), _run_universes,
     ),
-    "caustic": (
-        # _run_caustic makes arrays of these before any library rule; the size guard divides by dt
+    "caustic": Experiment(
+        # _run_caustic makes arrays of these before any library rule; the size rule divides by dt
         _GRID + _PHYSICS + [
             Param("n_trajectories", "int", check=lambda v: v >= 2, note="n_trajectories >= 2"),
             Param("span", "float", check=lambda v: v > 0, note="span > 0"),
@@ -368,63 +397,30 @@ EXPERIMENTS = {
             Param("t_total", "float", check=lambda v: v > 0, note="t_total > 0"),
             Param("dt", "float", check=lambda v: v > 0, note="dt > 0"),
         ],
-        _run_caustic,
+        _caustic_size, _run_caustic,
     ),
-    "spin_split": (
-        [Param("theta", "float")],
-        _run_spin_split,
-    ),
-    "branch_stats": (
-        [Param("N", "int"), Param("p", "float")],
-        _run_branch_stats,
-    ),
-    "bell": (
+    "spin_split": Experiment([Param("theta", "float")], lambda p: 0, _run_spin_split),
+    "branch_stats": Experiment([Param("N", "int"), Param("p", "float")], lambda p: 0,
+                               _run_branch_stats),
+    "bell": Experiment(
         # _run_bell itself unpacks four angles and spaces n_theta points
         [
             Param("angles", "float_list", check=lambda v: len(v) == 4,
                   note="exactly 4 analyzer angles"),
             Param("n_theta", "int", check=lambda v: v >= 2, note="n_theta >= 2"),
         ],
-        _run_bell,
+        lambda p: 3 * 8 * p["n_theta"], _run_bell,
     ),
-    "convergence": (
+    "convergence": Experiment(
         [
             Param("N_values", "int_list"),
             Param("p", "float"),
             # where --seed lands (main sets it): refused by its key before the run
             Param("seed", "int", check=lambda v: v >= 0, note="seed >= 0"),
         ],
-        _run_convergence,
+        lambda p: 8 * max(p["N_values"]), _run_convergence,
     ),
 }
-
-
-def _estimated_bytes(experiment: str, p: dict) -> int:
-    """The bytes of a run's largest arrays, from its validated parameters alone.
-
-    A wave snapshot is 16 B per grid point (decompose and caustic hold one
-    grid's worth) and its polar decomposition 17 B (R, phi, node mask), a
-    trajectory table 8 B per trajectory per recorded time (caustic records
-    positions and velocities at every step), a sampled column 8 B per value.
-    """
-    n_bytes = 0
-    if "n_points" in p:
-        snapshots = 1
-        if "n_steps" in p:  # evolve, universes: one per stride, else the default cap
-            n_steps, stride = p["n_steps"], p["snapshot_stride"]
-            snapshots = (n_steps // stride if stride else min(n_steps, MAX_DEFAULT_SNAPSHOTS)) + 1
-        n_bytes += 16 * p["n_points"] * snapshots
-        if experiment == "universes":
-            n_bytes += (17 * p["n_points"] + 8 * p["n_trajectories"]) * snapshots
-    if experiment == "caustic":
-        steps = p["t_total"] / p["dt"]
-        times = round(steps) + 1 if steps < MAX_RUN_BYTES else MAX_RUN_BYTES  # an inf ratio too
-        n_bytes += 2 * 8 * p["n_trajectories"] * times
-    elif experiment == "bell":
-        n_bytes += 3 * 8 * p["n_theta"]
-    elif experiment == "convergence":
-        n_bytes += 8 * max(p["N_values"])
-    return n_bytes
 
 
 def _sha256(path: Path) -> str:
@@ -450,18 +446,18 @@ def run(config: ExperimentConfig, out_dir=".", quiet: bool = False) -> int:
     if config.experiment not in EXPERIMENTS:
         print(f"error: unknown experiment {config.experiment!r}", file=sys.stderr)
         return EXIT_CONFIG
-    schema, pipeline = EXPERIMENTS[config.experiment]
+    experiment = EXPERIMENTS[config.experiment]
     started = time.perf_counter()
     try:
-        parameters = _validate(schema, config.parameters, config.experiment)
-        n_bytes = _estimated_bytes(config.experiment, parameters)
+        parameters = _validate(experiment.schema, config.parameters, config.experiment)
+        n_bytes = experiment.size(parameters)
         if n_bytes > MAX_RUN_BYTES:
             raise CapacityError(
                 f"the run needs about {n_bytes >> 20} MiB of arrays, "
                 f"over the {MAX_RUN_BYTES >> 20} MiB cap; reduce its size parameters"
             )
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            outputs = pipeline(parameters)
+            outputs = experiment.run(parameters)
     except (ConfigError, DomainError, ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

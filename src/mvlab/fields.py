@@ -390,10 +390,3 @@ def write_json(path, payload) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
-
-
-def wavefunction_to_csv(wf: GridWavefunction, path) -> None:
-    """Write columns index,x,re,im with LF line endings."""
-    amps = wf.amplitudes
-    columns = (np.arange(wf.grid.n_points), wf.grid.points, amps.real, amps.imag)
-    write_csv(path, "index,x,re,im", [columns])

@@ -124,8 +124,11 @@ def _zone_lookup(grid: SpatialGrid, zone: np.ndarray):
 
 def _starts(grid: SpatialGrid, positions) -> np.ndarray:
     """The start positions as a new float64 array, once they are nonempty, 1D and inside the grid."""
-    x = np.array(positions, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
+    try:
+        x = np.array(positions, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged or non-numeric entries
+        x = None
+    if x is None or x.ndim != 1 or x.size == 0:
         raise DomainError("initial positions must be a nonempty 1D sequence")
     if not np.all((x >= grid.x_min) & (x <= grid.x_max)):  # NaN fails too
         raise DomainError("initial positions must lie within the grid")
@@ -216,8 +219,11 @@ def classical_ensemble_evolve(
     """
     grid = V.grid
     x = _starts(grid, initial_positions)
-    v = np.array(initial_velocities, dtype=np.float64)
-    if v.shape != x.shape or not np.all(np.isfinite(v)):
+    try:
+        v = np.array(initial_velocities, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged or non-numeric entries
+        v = None
+    if v is None or v.shape != x.shape or not np.all(np.isfinite(v)):
         raise DomainError("initial velocities must be finite, one per initial position")
     if not (dt > 0.0):
         raise DomainError(f"dt must be positive, got {dt}")

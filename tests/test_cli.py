@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mvlab
 import mvlab.fields
@@ -21,12 +23,18 @@ from mvlab.cli import (
     EXIT_OK,
     EXPERIMENTS,
     MAX_RUN_BYTES,
-    _estimated_bytes,
     _sha256,
     _validate,
     main,
 )
-from mvlab.fields import write_csv
+from mvlab.evolution import evolve_schrodinger
+from mvlab.fields import (
+    PhysicalParams,
+    SpatialGrid,
+    free_potential,
+    make_gaussian_packet,
+    write_csv,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -156,15 +164,33 @@ class TestGuards:
         for name in expected:
             raw = json.loads((CONFIGS / f"{name}.json").read_text())
             raw.pop("experiment")
-            p = _validate(EXPERIMENTS[name][0], raw, name)
-            assert (name, _estimated_bytes(name, p)) == (name, expected[name])
+            p = _validate(EXPERIMENTS[name].schema, raw, name)
+            assert (name, EXPERIMENTS[name].size(p)) == (name, expected[name])
             assert expected[name] < MAX_RUN_BYTES
 
     def test_size_estimate_counts_the_universes_polar_stack(self):
         # 20 000 snapshots of 2048 points: amplitudes 16 B, then R and phi 8 B each and
         # the node mask 1 B per point; only the estimate is computed, never the run
         p = {"n_points": 2048, "n_steps": 19999, "snapshot_stride": 1, "n_trajectories": 64}
-        assert _estimated_bytes("universes", p) == (33 * 2048 + 8 * 64) * 20000 > MAX_RUN_BYTES
+        assert EXPERIMENTS["universes"].size(p) == (33 * 2048 + 8 * 64) * 20000 > MAX_RUN_BYTES
+
+    # with snapshot_stride left out the library picks the stride; the rule must not undershoot
+    # it (it overstates up to 256.5x at a prime n_steps, where the stride is n_steps itself)
+    @settings(max_examples=20, deadline=None)
+    @given(n_steps=st.integers(0, 2000))
+    @example(n_steps=512)
+    @example(n_steps=513)
+    @example(n_steps=1999)
+    def test_size_rule_bounds_the_default_snapshots(self, n_steps):
+        raw = json.loads((CONFIGS / "evolve.json").read_text())
+        del raw["experiment"], raw["snapshot_stride"]
+        raw.update(n_points=64, sigma=2.0, n_steps=n_steps)  # sigma >= 4 dx on 64 points
+        p = _validate(EXPERIMENTS["evolve"].schema, raw, "evolve")
+        params = PhysicalParams(p["hbar"], p["mass"])
+        grid = SpatialGrid(p["x_min"], p["x_max"], p["n_points"], p["boundary"])
+        wf0 = make_gaussian_packet(grid, p["x0"], p["sigma"], p["k0"], params)
+        record = evolve_schrodinger(wf0, free_potential(grid), params, p["dt"], n_steps)
+        assert EXPERIMENTS["evolve"].size(p) >= record.amplitudes.nbytes
 
     # JSON's Infinity and NaN, and a literal past float range, are refused by name before any run
     @pytest.mark.parametrize("experiment, override, name", [
@@ -336,7 +362,7 @@ class TestGuards:
         def overflowing(p):
             return 1e300**2
 
-        monkeypatch.setitem(EXPERIMENTS, "evolve", (EXPERIMENTS["evolve"][0], overflowing))
+        monkeypatch.setitem(EXPERIMENTS, "evolve", EXPERIMENTS["evolve"]._replace(run=overflowing))
         out = tmp_path / "out"
         status = run_cli("evolve", "--config", str(CONFIGS / "evolve.json"), "--out-dir", str(out))
         assert status == EXIT_GUARD
@@ -352,8 +378,8 @@ EDGE_INTS = (-1, 0, 1, 2, 7, 8, 9)
 
 def edge_cases():
     """Every int and float parameter of every experiment at each edge value, over its config."""
-    for experiment, (schema, _) in EXPERIMENTS.items():
-        for param in schema:
+    for experiment, entry in EXPERIMENTS.items():
+        for param in entry.schema:
             for value in {"float": EDGE_FLOATS, "int": EDGE_INTS}.get(param.kind, ()):
                 yield pytest.param(experiment, param.name, value, id=f"{experiment}-{param.name}={value!r}")
 
@@ -485,9 +511,10 @@ class TestFailureModes:
         blocks = [(np.arange(4.0),), (np.arange(4.0),), (Exploding(["x"] * 4),)]
         monkeypatch.setattr(mvlab.fields, "MIN_FIELDS_PER_RANGE", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setitem(EXPERIMENTS, "spin_split", (EXPERIMENTS["spin_split"][0], lambda p: {
+        splitting = EXPERIMENTS["spin_split"]._replace(run=lambda p: {
             "split.csv": lambda path: write_csv(path, "a", blocks),
-        }))
+        })
+        monkeypatch.setitem(EXPERIMENTS, "spin_split", splitting)
         out = tmp_path / "out"
         status = run_cli("spin_split", "--config", str(CONFIGS / "spin_split.json"),
                          "--out-dir", str(out), "--quiet")

@@ -27,7 +27,6 @@ from mvlab.fields import (
     make_plane_wave,
     norm_squared,
     normalize,
-    wavefunction_to_csv,
     write_csv,
     write_json,
 )
@@ -275,22 +274,6 @@ class TestInterpolator:
         assert np.array_equal(interpolator(grid(8, 0.0, 8.0), values)(at), [7.0, 0.5, 3.5, 0.0, 1.0])
         dirichlet = grid(8, 0.0, 8.0, "dirichlet")
         assert np.array_equal(interpolator(dirichlet, values)(at), [0.0, 0.5, 7.0, 7.0, 7.0])
-
-
-class TestCsv:
-    def test_header_and_shape(self, tmp_path):
-        g = grid(n=16, lo=-4.0, hi=4.0)
-        wf = make_gaussian_packet(g, 0.0, 3.0, 0.0, PARAMS)
-        path = tmp_path / "wf.csv"
-        wavefunction_to_csv(wf, path)
-        text = path.read_text()
-        lines = text.split("\n")
-        assert lines[0] == "index,x,re,im"
-        assert len(lines) == 18  # header + 16 rows + trailing newline
-        assert "\r" not in text
-        first = lines[1].split(",")
-        assert first[0] == "0"
-        assert float(first[1]) == g.points[0]
 
 
 class TestWriteCsv:

@@ -183,6 +183,13 @@ class TestIntegrateUniverses:
         with pytest.raises(DomainError, match="initial positions must lie within the grid"):
             integrate_universes(rec, starts, PARAMS)
 
+    @pytest.mark.parametrize("starts", [[[0.0], [1.0, 2.0]], ["a"], [object()], [1j]],
+                             ids=["ragged", "str", "object", "complex"])
+    def test_rejects_ragged_or_non_numeric_positions_by_name(self, starts):
+        rec, _ = free_gaussian_record(n=512, dt=1e-3, n_steps=10, stride=5)
+        with pytest.raises(DomainError, match="initial positions must be a nonempty 1D sequence"):
+            integrate_universes(rec, starts, PARAMS)
+
 
 class TestOnePass:
     """integrate_universes derives velocity in blocks and wraps once per RK4 stage."""
@@ -251,7 +258,12 @@ class TestClassicalFlow:
     @pytest.mark.parametrize("positions, velocities", [
         ([0.0, 1.0], [0.0]), ([0.0], [0.0, 1.0]), ([], []), ([0.0, 1.0], [[0.0, 1.0]]),
         ([0.0, 1.0], [0.0, np.nan]), ([0.0], [np.inf]),
-    ], ids=["short", "long", "empty", "2d", "nan", "inf"])
+        ([[0.0], [1.0, 2.0]], [0.0, 1.0]), ([0.0, 1.0], [[0.0], [1.0, 2.0]]),
+        (["a"], [0.0]), ([0.0], ["a"]), ([object()], [0.0]), ([0.0], [object()]),
+        ([1j], [0.0]), ([0.0], [1j]),
+    ], ids=["short", "long", "empty", "2d", "nan", "inf", "ragged-positions", "ragged-velocities",
+            "str-position", "str-velocity", "object-position", "object-velocity",
+            "complex-position", "complex-velocity"])
     def test_rejects_mismatched_empty_or_non_finite_velocities(self, positions, velocities):
         g = SpatialGrid(-10.0, 10.0, 256)
         with pytest.raises(DomainError, match="initial"):
