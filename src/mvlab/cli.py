@@ -248,10 +248,10 @@ def _run_universes(p):
     polar0 = record_polars(record, params, p["node_epsilon"])[0]
     m = p["n_trajectories"]
     starts = stratified_positions(polar0, m)
-    # one integration for the ensemble and the interval's endpoints; the rows are views
+    # one integration for the ensemble and the interval's endpoints; the columns are views
     run = integrate_universes(record, np.concatenate((starts, ends)), params, p["node_epsilon"])
-    ensemble = TrajectoryEnsemble(run.times, run.positions[:m], run.kind, frozen_at=run.frozen_at[:m])
-    report = density_transport_check(record, ensemble, run.positions[m:], params, p["node_epsilon"])
+    ensemble = TrajectoryEnsemble(run.times, run.positions[:, :m], run.kind, run.stopped_at[:m])
+    report = density_transport_check(record, ensemble, run.positions[:, m:], params, p["node_epsilon"])
     expected = np.full(report.times.size, report.expected)
     transport = (report.times, report.fractions, expected, report.deviations)
     return {
@@ -478,6 +478,7 @@ def run(config: ExperimentConfig, out_dir=".", quiet: bool = False) -> int:
     }
     try:
         out_path.mkdir(parents=True, exist_ok=True)
+        (out_path / "manifest.json").unlink(missing_ok=True)  # never "ok" beside half-written outputs
         for name, writer in outputs.items():
             writer(out_path / name)
             manifest["outputs"][name] = _sha256(out_path / name)

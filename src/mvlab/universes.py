@@ -4,9 +4,9 @@ R^2 is treated as a conserved density of trajectories ("universes") carried
 by the velocity v = grad(phi)/m. In one dimension a caustic is exactly a
 change of trajectory ordering, so sorting gives an exact crossing detector;
 the quantum flow never reorders, the classical converging flow does.
-Both flows share one start rule (_starts), one classic RK4 stage (_rk4) and one
-stop rule, a NaN flag time meaning never: integrate_universes steps x once per
-snapshot interval, classical_ensemble_evolve steps the stacked state (x, v).
+Both flows record (T, M) positions and share one start rule (_starts), one RK4
+stage (_rk4) and one stop rule, a NaN stop time meaning never: integrate_universes
+steps x once per snapshot interval, classical_ensemble_evolve the stacked (x, v).
 integrate_universes reads madelung.record_polars, so each snapshot of a
 record is decomposed once, and derives the velocity VELOCITY_BLOCK snapshots
 at a time: a whole-stack velocity would hold another (T, n) array.
@@ -45,7 +45,7 @@ from .madelung import (
 if TYPE_CHECKING:
     from .evolution import EvolutionRecord
 
-KINDS = ("bohmian", "classical")
+KINDS = {"bohmian": "frozen", "classical": "escaped"}  # each kind's word for a stopped trajectory
 
 # snapshots per velocity_field call: at n=2048, 16 add 1.3 MiB to peak memory, 64 add 4.5 MiB
 VELOCITY_BLOCK = 16
@@ -53,20 +53,19 @@ VELOCITY_BLOCK = 16
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryEnsemble:
-    """Positions of M trajectories at T recorded times.
+    """Positions of M trajectories at T recorded times: positions is (T, M), row s at times[s].
 
-    frozen_at marks trajectories that entered a node neighborhood (quantum
-    flow) and escaped_at marks trajectories that left a dirichlet domain
-    (classical flow); both hold their last position afterwards, so recorded
-    positions stay finite. NaN means the flag never fired. The arrays are
-    kept, not copied, and made read-only.
+    stopped_at holds the time each trajectory stopped, NaN for never: on
+    entering a node neighborhood (bohmian, flagged "frozen") or on leaving a
+    dirichlet domain (classical, flagged "escaped"). A stopped trajectory
+    holds its last position, so recorded positions stay finite. The arrays
+    are kept, not copied, and made read-only.
     """
 
     times: np.ndarray
     positions: np.ndarray
     kind: str
-    frozen_at: np.ndarray | None = None
-    escaped_at: np.ndarray | None = None
+    stopped_at: np.ndarray | None = None
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=np.float64)
@@ -74,25 +73,22 @@ class TrajectoryEnsemble:
         if np.any(np.diff(times) <= 0.0):
             raise DomainError("times must be strictly increasing")
         positions = np.asarray(self.positions, dtype=np.float64)
-        _freeze(self, "positions", positions, positions.shape[:1] + times.shape)  # (M, T)
-        m = len(positions)
+        _freeze(self, "positions", positions, times.shape + positions.shape[-1:])  # (T, M)
         if self.kind not in KINDS:
-            raise DomainError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        for name in ("frozen_at", "escaped_at"):
-            flags = getattr(self, name)
-            flags = np.full(m, np.nan) if flags is None else np.asarray(flags, dtype=np.float64)
-            _freeze(self, name, flags, (m,), finite=False)
+            raise DomainError(f"kind must be one of {tuple(KINDS)}, got {self.kind!r}")
+        stops = np.full(positions.shape[1:], np.nan) if self.stopped_at is None else self.stopped_at
+        _freeze(self, "stopped_at", np.asarray(stops, dtype=np.float64), positions.shape[1:], finite=False)
 
     @property
     def n_trajectories(self) -> int:
-        return self.positions.shape[0]
+        return self.positions.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
 class ClassicalEnsembleRecord:
-    """Newtonian characteristics: positions and velocities per particle per time.
+    """Newtonian characteristics: positions and velocities per time per particle.
 
-    velocities is copied and made read-only.
+    velocities is (T, M) like ensemble.positions; it is copied and made read-only.
     """
 
     params: PhysicalParams
@@ -122,12 +118,22 @@ def _zone_lookup(grid: SpatialGrid, zone: np.ndarray):
     return in_zone
 
 
+def _reals(values) -> np.ndarray | None:
+    """values as a new float64 array, or None if the entries are ragged, strings, complex or
+    otherwise not real, or ints past float range: numpy alone reads "1.0" as 1.0."""
+    try:
+        raw = np.asarray(values)
+        entries = raw.flat if raw.dtype == object else ()  # an object array may hold a str
+        if raw.dtype.kind in "biufO" and not any(isinstance(v, (str, bytes)) for v in entries):
+            return np.array(raw, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return None
+
+
 def _starts(grid: SpatialGrid, positions) -> np.ndarray:
     """The start positions as a new float64 array, once they are nonempty, 1D and inside the grid."""
-    try:
-        x = np.array(positions, dtype=np.float64)
-    except (TypeError, ValueError):  # ragged or non-numeric entries
-        x = None
+    x = _reals(positions)
     if x is None or x.ndim != 1 or x.size == 0:
         raise DomainError("initial positions must be a nonempty 1D sequence")
     if not np.all((x >= grid.x_min) & (x <= grid.x_max)):  # NaN fails too
@@ -174,12 +180,11 @@ def integrate_universes(
         raise DomainError("initial positions must avoid node neighborhoods of the first snapshot")
 
     times = record.times
-    n_snap = len(times)
-    positions = np.empty((x.size, n_snap))
-    positions[:, 0] = x
-    frozen_at = np.full(x.size, np.nan)
+    positions = np.empty((len(times), x.size))
+    positions[0] = x
+    stopped_at = np.full(x.size, np.nan)
 
-    for s in range(n_snap - 1):
+    for s in range(len(times) - 1):
         t0, t1 = times[s], times[s + 1]
         v0, zone0 = v1, zone1
         v1, zone1 = next(rows)
@@ -192,13 +197,13 @@ def integrate_universes(
             at0, at1 = interp(pos, offset)
             return (1.0 - w) * at0 + w * at1
 
-        live = np.isnan(frozen_at)
+        live = np.isnan(stopped_at)
         x = np.where(live, _rk4(vel, x, t0, h, vel(x, t0, offset)), x)
         offset = grid_offset(grid, x)
-        frozen_at[live & in_zone(offset)] = t0 + h
-        positions[:, s + 1] = x
+        stopped_at[live & in_zone(offset)] = t0 + h
+        positions[s + 1] = x
 
-    return TrajectoryEnsemble(times.copy(), positions, "bohmian", frozen_at=frozen_at)
+    return TrajectoryEnsemble(times.copy(), positions, "bohmian", stopped_at)
 
 
 def classical_ensemble_evolve(
@@ -219,10 +224,7 @@ def classical_ensemble_evolve(
     """
     grid = V.grid
     x = _starts(grid, initial_positions)
-    try:
-        v = np.array(initial_velocities, dtype=np.float64)
-    except (TypeError, ValueError):  # ragged or non-numeric entries
-        v = None
+    v = _reals(initial_velocities)
     if v is None or v.shape != x.shape or not np.all(np.isfinite(v)):
         raise DomainError("initial velocities must be finite, one per initial position")
     if not (dt > 0.0):
@@ -236,23 +238,23 @@ def classical_ensemble_evolve(
         return np.stack((y[1], force(y[0]) / params.mass))
 
     times = np.arange(n_steps + 1) * dt
-    positions = np.empty((x.size, n_steps + 1))
-    velocities = np.empty((x.size, n_steps + 1))
+    positions = np.empty((n_steps + 1, x.size))
+    velocities = np.empty((n_steps + 1, x.size))
     y = np.stack((x, v))
-    positions[:, 0], velocities[:, 0] = y
-    escaped_at = np.full(x.size, np.nan)
+    positions[0], velocities[0] = y
+    stopped_at = np.full(x.size, np.nan)
 
     for step, t in enumerate(times[:-1], start=1):
-        live = np.isnan(escaped_at)
+        live = np.isnan(stopped_at)
         y = np.where(live, _rk4(rate, y, t, dt, rate(y, t)), y)
         if grid.boundary != "periodic":  # hold at the boundary it crossed; positions stay finite
             out = live & ((y[0] < grid.x_min) | (y[0] > grid.x_max))
             y[0, out] = np.clip(y[0, out], grid.x_min, grid.x_max)
             y[1, out] = 0.0
-            escaped_at[out] = step * dt
-        positions[:, step], velocities[:, step] = y
+            stopped_at[out] = step * dt
+        positions[step], velocities[step] = y
 
-    ensemble = TrajectoryEnsemble(times, positions, "classical", escaped_at=escaped_at)
+    ensemble = TrajectoryEnsemble(times, positions, "classical", stopped_at)
     return ClassicalEnsembleRecord(params, V, ensemble, velocities)
 
 
@@ -264,13 +266,10 @@ def crossing_count(ensemble: TrajectoryEnsemble) -> int:
     Fewer than two trajectories trivially gives zero.
     """
     pos = ensemble.positions
-    if pos.shape[0] < 2:
-        return 0
     total = 0
-    for t in range(pos.shape[1] - 1):
-        order = np.argsort(pos[:, t], kind="stable")
-        nxt = pos[order, t + 1]
-        total += int(np.sum(nxt[1:] < nxt[:-1]))
+    for now, nxt in zip(pos, pos[1:]):
+        later = nxt[np.argsort(now, kind="stable")]
+        total += int(np.sum(later[1:] < later[:-1]))
     return total
 
 
@@ -341,8 +340,9 @@ def density_transport_check(
 ) -> TransportReport:
     """Compare trajectory counts in the image of (a, b) with the initial mass.
 
-    endpoints holds the two trajectories started at a and b (transport_interval),
-    best integrated in the ensemble's own call; the image of (a, b) lies between them.
+    endpoints holds the (T, 2) columns of the two trajectories started at a and b
+    (transport_interval), best integrated in the ensemble's own call; the image of
+    (a, b) lies between them.
     """
     if ensemble.kind != "bohmian":
         raise DomainError("transport check needs a bohmian ensemble")
@@ -350,16 +350,15 @@ def density_transport_check(
     if ensemble.times.size != times.size or not np.allclose(ensemble.times, times):
         raise DomainError("ensemble times do not match the record's snapshot times")
     endpoints = np.asarray(endpoints, dtype=np.float64)
-    if endpoints.shape != (2, times.size):
-        raise DomainError(f"endpoints must have shape (2, {times.size}), got {endpoints.shape}")
-    lo, hi = endpoints
-    a, b = transport_interval(record.grid, (lo[0], hi[0]))
+    if endpoints.shape != (times.size, 2):
+        raise DomainError(f"endpoints must have shape ({times.size}, 2), got {endpoints.shape}")
+    a, b = transport_interval(record.grid, endpoints[0])
 
     edges, cdf = _density_cdf(record_polars(record, params, node_epsilon)[0])
     expected = float(np.interp(b, edges, cdf) - np.interp(a, edges, cdf))
 
     pos = ensemble.positions
-    fractions = np.mean((pos > lo) & (pos < hi), axis=0)
+    fractions = np.mean((pos > endpoints[:, :1]) & (pos < endpoints[:, 1:]), axis=1)
     deviations = np.abs(fractions - expected)
     m = ensemble.n_trajectories
     return TransportReport(times.copy(), fractions, expected, deviations, 3.0 / np.sqrt(m), m)
@@ -368,17 +367,15 @@ def density_transport_check(
 def trajectories_to_csv(ensemble: TrajectoryEnsemble, path) -> None:
     """Write columns t,trajectory_id,x,kind,flags with LF line endings.
 
-    flags is "frozen" from frozen_at on, else "escaped" from escaped_at on,
-    else empty (a NaN flag time never fires).
+    flags is the kind's word in KINDS from stopped_at on, else empty (a NaN
+    stop time never fires).
     """
     m, times = ensemble.n_trajectories, ensemble.times.tolist()
-    ids, kind = list(map(str, range(m))), [ensemble.kind] * m
+    ids, kind, word = list(map(str, range(m))), [ensemble.kind] * m, KINDS[ensemble.kind]
 
     def block(s):
-        t = times[s]
-        escaped = np.where(ensemble.escaped_at <= t, "escaped", "")
-        flags = np.where(ensemble.frozen_at <= t, "frozen", escaped).tolist()
-        return [repr(t)] * m, ids, ensemble.positions[:, s], kind, flags
+        flags = np.where(ensemble.stopped_at <= times[s], word, "").tolist()
+        return [repr(times[s])] * m, ids, ensemble.positions[s], kind, flags
 
     write_csv(path, "t,trajectory_id,x,kind,flags", LazyBlocks(len(times), block))
 
@@ -389,6 +386,6 @@ def classical_to_csv(record: ClassicalEnsembleRecord, path) -> None:
     ids = list(map(str, range(ens.n_trajectories)))
 
     def block(s):
-        return [repr(times[s])] * len(ids), ids, ens.positions[:, s], record.velocities[:, s]
+        return [repr(times[s])] * len(ids), ids, ens.positions[s], record.velocities[s]
 
     write_csv(path, "t,particle_id,x,v", LazyBlocks(len(times), block))

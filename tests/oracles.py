@@ -170,7 +170,7 @@ def per_snapshot_residual_pair(record, V, params, node_epsilon):
 
 
 def per_snapshot_universes(record, starts, params, node_epsilon):
-    """integrate_universes' positions and frozen_at, one snapshot at a time.
+    """integrate_universes' (T, M) positions and stopped_at, one snapshot at a time.
 
     The loop that mvlab.universes' blocked velocity replaced: every snapshot
     is decomposed on its own, its velocity derived from one (n,) row, each
@@ -204,8 +204,8 @@ def per_snapshot_universes(record, starts, params, node_epsilon):
 
     x = np.array(starts, dtype=np.float64)
     times = record.times
-    positions = np.empty((x.size, times.size))
-    positions[:, 0] = x
+    positions = np.empty((times.size, x.size))
+    positions[0] = x
     frozen = np.zeros(x.size, dtype=bool)
     frozen_at = np.full(x.size, np.nan)
     interp1, zone1 = flow(record.amplitudes[0])
@@ -228,12 +228,12 @@ def per_snapshot_universes(record, starts, params, node_epsilon):
         newly = ~frozen & in_zone(x)
         frozen_at[newly] = t0 + h
         frozen |= newly
-        positions[:, s + 1] = x
+        positions[s + 1] = x
     return positions, frozen_at
 
 
 def per_step_classical(x, v, V, params, dt, n_steps):
-    """classical_ensemble_evolve's positions, velocities and escaped_at, on separate x and v.
+    """classical_ensemble_evolve's (T, M) positions, velocities and its stopped_at, x and v apart.
 
     The loop that mvlab.universes' stacked (x, v) state replaced: each RK4
     stage is written out for x and v apart, and an escaped trajectory is
@@ -249,10 +249,10 @@ def per_step_classical(x, v, V, params, dt, n_steps):
     def accel(pos):
         return force(pos) / params.mass
 
-    positions = np.empty((x.size, n_steps + 1))
-    velocities = np.empty((x.size, n_steps + 1))
-    positions[:, 0] = x
-    velocities[:, 0] = v
+    positions = np.empty((n_steps + 1, x.size))
+    velocities = np.empty((n_steps + 1, x.size))
+    positions[0] = x
+    velocities[0] = v
     escaped = np.zeros(x.size, dtype=bool)
     escaped_at = np.full(x.size, np.nan)
     for step in range(1, n_steps + 1):
@@ -270,8 +270,8 @@ def per_step_classical(x, v, V, params, dt, n_steps):
             v = np.where(out, 0.0, v)
             escaped_at[out] = step * dt
             escaped |= out
-        positions[:, step] = x
-        velocities[:, step] = v
+        positions[step] = x
+        velocities[step] = v
     return positions, velocities, escaped_at
 
 

@@ -141,7 +141,7 @@ def test_criterion_4_caustic_contrast(free_gaussian_record):
     bohmian_crossings = crossing_count(bohmian)
     t_final = free_gaussian_record.times[-1]
     exact = free_gaussian_trajectory(starts, t_final, 1.0)
-    worst_rel = float(np.max(np.abs(bohmian.positions[:, -1] - exact) / np.abs(exact)))
+    worst_rel = float(np.max(np.abs(bohmian.positions[-1] - exact) / np.abs(exact)))
 
     ok = classical_crossings >= 63 and bohmian_crossings == 0 and worst_rel < 1e-4
     report(

@@ -527,6 +527,21 @@ class TestFailureModes:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_interrupted_rerun_leaves_no_stale_manifest(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        args = ("bell", "--config", str(CONFIGS / "bell.json"), "--out-dir", str(out), "--quiet")
+        assert run_cli(*args) == EXIT_OK
+        assert json.loads((out / "manifest.json").read_text())["status"] == "ok"
+
+        def interrupted(path, payload):  # bell.json, after correlation.csv is rewritten
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("mvlab.cli.write_json", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(*args)
+        assert (out / "correlation.csv").exists()
+        assert not (out / "manifest.json").exists()
+
     def test_malformed_set_entry(self, tmp_path, capsys):
         status = run_cli("spin_split", "--config", str(CONFIGS / "spin_split.json"),
                          "--set", "thetapi", "--out-dir", str(tmp_path / "o"))

@@ -197,16 +197,16 @@ class TestFreeze:
         polar = PolarField(g, real, real.copy(), mask)
         stack, times = np.tile(amps, (3, 1)), np.arange(3.0)
         record = EvolutionRecord(PARAMS, free_potential(g), 1.0, 1, times, stack)
-        positions, flags = np.zeros((2, 3)), np.array([np.nan, 1.0])
-        ensemble = TrajectoryEnsemble(times, positions, "bohmian", frozen_at=flags)
-        velocities, weights = np.zeros((2, 3)), np.full(4, 0.25)
+        positions, flags = np.zeros((3, 2)), np.array([np.nan, 1.0])
+        ensemble = TrajectoryEnsemble(times, positions, "bohmian", stopped_at=flags)
+        velocities, weights = np.zeros((3, 2)), np.full(4, 0.25)
         return [
             (GridWavefunction(g, amps), "amplitudes", amps),
             (PotentialField(g, real), "values", real),
             (polar, "R", real), (polar, "node_mask", mask),
             (record, "times", times), (record, "amplitudes", stack),
             (ensemble, "times", times), (ensemble, "positions", positions),
-            (ensemble, "frozen_at", flags),
+            (ensemble, "stopped_at", flags),
             (ClassicalEnsembleRecord(PARAMS, free_potential(g), ensemble, velocities),
              "velocities", velocities),
             (BranchTree(2, 0.5, weights), "weights", weights),
@@ -215,7 +215,7 @@ class TestFreeze:
     def test_copy_or_keep_and_read_only(self):
         kept = {("PolarField", "R"), ("PolarField", "node_mask"), ("EvolutionRecord", "amplitudes"),
                 ("TrajectoryEnsemble", "times"), ("TrajectoryEnsemble", "positions"),
-                ("TrajectoryEnsemble", "frozen_at")}
+                ("TrajectoryEnsemble", "stopped_at")}
         for record, name, given in self.records():
             held = getattr(record, name)
             assert (held is given) == ((type(record).__name__, name) in kept), (record, name)
@@ -225,7 +225,7 @@ class TestFreeze:
     def test_times_and_weights_must_be_finite(self, value):
         times = np.array([0.0, 1.0, value])
         with pytest.raises(DomainError, match="NaN or Inf in times"):
-            TrajectoryEnsemble(times, np.zeros((2, 3)), "bohmian")
+            TrajectoryEnsemble(times, np.zeros((3, 2)), "bohmian")
         g = grid(n=16)
         with pytest.raises(DomainError, match="NaN or Inf in times"):
             EvolutionRecord(PARAMS, free_potential(g), 1.0, 1, times, np.ones((3, 16)) / 4.0)

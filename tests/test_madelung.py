@@ -432,7 +432,7 @@ class TestRecordPolars:
         ends = integrate_universes(rec, [-3.0, -1.0], PARAMS, node_epsilon).positions
         report = density_transport_check(rec, ens, ends, PARAMS, node_epsilon)
         arrays = [a for r in reports for a in (r.times, r.field, r.mask)]
-        arrays += [ens.positions, ens.frozen_at, report.fractions, report.deviations]
+        arrays += [ens.positions, ens.stopped_at, report.fractions, report.deviations]
         scalars = [v for r in reports for v in (r.scalar, r.scale)] + [report.expected]
         return arrays, scalars
 

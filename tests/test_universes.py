@@ -1,4 +1,5 @@
 import functools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -59,21 +60,20 @@ def colliding_record(boundary):
 
 
 def endpoints(rec, a, b):
-    """Rows of the trajectories started at a and b, the transport check's interval."""
+    """(T, 2) columns of the trajectories started at a and b, the transport check's interval."""
     return integrate_universes(rec, [a, b], PARAMS).positions
 
 
 def loop_trajectories_csv(ensemble):
     """trajectories_to_csv's original per-row writer: the byte reference."""
     lines = ["t,trajectory_id,x,kind,flags\n"]
+    word = {"bohmian": "frozen", "classical": "escaped"}[ensemble.kind]
     for t_idx, t in enumerate(ensemble.times):
         for m in range(ensemble.n_trajectories):
             flag = ""
-            if np.isfinite(ensemble.frozen_at[m]) and t >= ensemble.frozen_at[m]:
-                flag = "frozen"
-            elif np.isfinite(ensemble.escaped_at[m]) and t >= ensemble.escaped_at[m]:
-                flag = "escaped"
-            x = ensemble.positions[m, t_idx]
+            if np.isfinite(ensemble.stopped_at[m]) and t >= ensemble.stopped_at[m]:
+                flag = word
+            x = ensemble.positions[t_idx, m]
             lines.append(f"{float(t)!r},{m},{float(x)!r},{ensemble.kind},{flag}\n")
     return "".join(lines).encode()
 
@@ -134,10 +134,10 @@ class TestIntegrateUniverses:
         ens = integrate_universes(rec, starts, PARAMS)
         t_final = rec.times[-1]
         exact = free_gaussian_trajectory(starts, t_final, 1.0)
-        rel = np.abs(ens.positions[:, -1] - exact) / np.abs(exact)
+        rel = np.abs(ens.positions[-1] - exact) / np.abs(exact)
         assert np.max(rel) < 1e-4
         assert ens.kind == "bohmian"
-        assert not np.isfinite(ens.frozen_at).any()
+        assert not np.isfinite(ens.stopped_at).any()
 
     def test_plane_wave_rigid_drift(self):
         g = SpatialGrid(-16.0, 16.0, 512)
@@ -148,8 +148,8 @@ class TestIntegrateUniverses:
         ens = integrate_universes(rec, starts, PARAMS)
         v = PARAMS.hbar * k / PARAMS.mass
         t_final = rec.times[-1]
-        assert np.max(np.abs(ens.positions[:, -1] - (starts + v * t_final))) < 1e-9
-        spacings = np.diff(ens.positions[:, -1])
+        assert np.max(np.abs(ens.positions[-1] - (starts + v * t_final))) < 1e-9
+        spacings = np.diff(ens.positions[-1])
         assert np.max(np.abs(spacings - spacings[0])) < 1e-9
 
     def test_stationary_state_trajectories_static(self):
@@ -159,7 +159,7 @@ class TestIntegrateUniverses:
         rec = evolve_schrodinger(wf0, V, PARAMS, 1e-3, 200, snapshot_stride=20)
         starts = np.linspace(-1.5, 1.5, 7)
         ens = integrate_universes(rec, starts, PARAMS)
-        assert np.max(np.abs(ens.positions - starts[:, None])) < 1e-9
+        assert np.max(np.abs(ens.positions - starts)) < 1e-9
 
     def test_rejects_positions_on_nodes(self):
         g = SpatialGrid(-20.0, 20.0, 1024)
@@ -183,8 +183,10 @@ class TestIntegrateUniverses:
         with pytest.raises(DomainError, match="initial positions must lie within the grid"):
             integrate_universes(rec, starts, PARAMS)
 
-    @pytest.mark.parametrize("starts", [[[0.0], [1.0, 2.0]], ["a"], [object()], [1j]],
-                             ids=["ragged", "str", "object", "complex"])
+    @pytest.mark.parametrize("starts", [[[0.0], [1.0, 2.0]], ["a"], [object()], [1j], [10**400],
+                                        ["1.0"], np.array(["1.0"]), [0, "1.0"], [2**70, "1.0"]],
+                             ids=["ragged", "str", "object", "complex", "int-past-float-range",
+                                  "numeric-str", "numeric-str-array", "mixed-str", "mixed-object-str"])
     def test_rejects_ragged_or_non_numeric_positions_by_name(self, starts):
         rec, _ = free_gaussian_record(n=512, dt=1e-3, n_steps=10, stride=5)
         with pytest.raises(DomainError, match="initial positions must be a nonempty 1D sequence"):
@@ -200,11 +202,11 @@ class TestOnePass:
         assert len(rec.times) % VELOCITY_BLOCK and len(rec.times) > VELOCITY_BLOCK  # a partial block
         starts = np.concatenate((np.linspace(-5.0, -1.0, 15), np.linspace(1.0, 5.0, 15)))
         ens = integrate_universes(rec, starts, PARAMS, 1e-2)
-        positions, frozen_at = per_snapshot_universes(rec, starts, PARAMS, 1e-2)
+        positions, stopped_at = per_snapshot_universes(rec, starts, PARAMS, 1e-2)
         assert ens.positions.tobytes() == positions.tobytes()
-        assert ens.frozen_at.tobytes() == frozen_at.tobytes()
+        assert ens.stopped_at.tobytes() == stopped_at.tobytes()
         if boundary == "periodic":
-            assert np.isfinite(ens.frozen_at).any()  # the freeze path is exercised
+            assert np.isfinite(ens.stopped_at).any()  # the freeze path is exercised
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -217,15 +219,15 @@ class TestOnePass:
         rec = colliding_record(boundary)
         both = integrate_universes(rec, starts + ends, PARAMS, node_epsilon)
         m = len(starts)
-        for rows, alone in ((slice(None, m), starts), (slice(m, None), ends)):
+        for cols, alone in ((slice(None, m), starts), (slice(m, None), ends)):
             separate = integrate_universes(rec, alone, PARAMS, node_epsilon)
-            assert both.positions[rows].tobytes() == separate.positions.tobytes()
-            assert both.frozen_at[rows].tobytes() == separate.frozen_at.tobytes()
+            assert both.positions[:, cols].tobytes() == separate.positions.tobytes()
+            assert both.stopped_at[cols].tobytes() == separate.stopped_at.tobytes()
 
     def test_ensemble_keeps_a_read_only_view(self):
         rec = colliding_record("periodic")
         both = integrate_universes(rec, [-2.0, -1.0, 1.0, 2.0], PARAMS)
-        head = TrajectoryEnsemble(both.times, both.positions[:2], "bohmian", frozen_at=both.frozen_at[:2])
+        head = TrajectoryEnsemble(both.times, both.positions[:, :2], "bohmian", both.stopped_at[:2])
         assert np.shares_memory(head.positions, both.positions)
         assert not head.positions.flags.writeable
 
@@ -248,26 +250,37 @@ class TestClassicalFlow:
             V, x, dt, n = harmonic_potential(g, 1.0, PARAMS), np.linspace(-3.0, 3.0, 11), 1e-3, 3000
             v = np.sin(x)
         rec = classical_ensemble_evolve(x, v, V, PARAMS, dt, n)
-        positions, velocities, escaped_at = per_step_classical(x, v, V, PARAMS, dt, n)
+        positions, velocities, stopped_at = per_step_classical(x, v, V, PARAMS, dt, n)
         assert rec.ensemble.positions.tobytes() == positions.tobytes()
         assert rec.velocities.tobytes() == velocities.tobytes()
-        assert rec.ensemble.escaped_at.tobytes() == escaped_at.tobytes()
+        assert rec.ensemble.stopped_at.tobytes() == stopped_at.tobytes()
         if case == "dirichlet-escape":
-            assert np.isfinite(escaped_at).any() and np.isnan(escaped_at).any()
+            assert np.isfinite(stopped_at).any() and np.isnan(stopped_at).any()
 
     @pytest.mark.parametrize("positions, velocities", [
         ([0.0, 1.0], [0.0]), ([0.0], [0.0, 1.0]), ([], []), ([0.0, 1.0], [[0.0, 1.0]]),
         ([0.0, 1.0], [0.0, np.nan]), ([0.0], [np.inf]),
         ([[0.0], [1.0, 2.0]], [0.0, 1.0]), ([0.0, 1.0], [[0.0], [1.0, 2.0]]),
         (["a"], [0.0]), ([0.0], ["a"]), ([object()], [0.0]), ([0.0], [object()]),
-        ([1j], [0.0]), ([0.0], [1j]),
+        ([1j], [0.0]), ([0.0], [1j]), ([10**400], [0.0]), ([0.0], [10**400]),
+        (["1.0"], [0.0]), ([0.0], ["1.0"]),
     ], ids=["short", "long", "empty", "2d", "nan", "inf", "ragged-positions", "ragged-velocities",
             "str-position", "str-velocity", "object-position", "object-velocity",
-            "complex-position", "complex-velocity"])
+            "complex-position", "complex-velocity", "int-past-float-range-position",
+            "int-past-float-range-velocity", "numeric-str-position", "numeric-str-velocity"])
     def test_rejects_mismatched_empty_or_non_finite_velocities(self, positions, velocities):
         g = SpatialGrid(-10.0, 10.0, 256)
         with pytest.raises(DomainError, match="initial"):
             classical_ensemble_evolve(positions, velocities, free_potential(g), PARAMS, 1e-2, 10)
+
+
+    @pytest.mark.parametrize("velocities", [[1, 2**70], np.array([0.5, 2.0], dtype=np.float32),
+                                            [True, Fraction(1, 3)], (0.25, np.float64(4.0))],
+                             ids=["ints", "float32-array", "bool-fraction", "tuple"])
+    def test_numeric_entries_convert_as_float64(self, velocities):
+        g = SpatialGrid(-10.0, 10.0, 256)
+        rec = classical_ensemble_evolve([0.0, 1.0], velocities, free_potential(g), PARAMS, 1e-2, 0)
+        assert rec.velocities[0].tolist() == [float(v) for v in velocities]
 
 
 class TestCrossingCount:
@@ -284,14 +297,14 @@ class TestCrossingCount:
         assert crossing_count(ens) == 0
 
     def test_single_trajectory_zero(self):
-        ens = TrajectoryEnsemble(np.array([0.0, 1.0]), np.array([[0.0, 5.0]]), "classical")
+        ens = TrajectoryEnsemble(np.array([0.0, 1.0]), np.array([[0.0], [5.0]]), "classical")
         assert crossing_count(ens) == 0
 
     def test_order_preservation_implies_monotone_map(self):
         rec, _ = free_gaussian_record()
         starts = np.linspace(-2.0, 2.0, 20)
         ens = integrate_universes(rec, starts, PARAMS)
-        finals = ens.positions[:, -1]
+        finals = ens.positions[-1]
         assert np.all(np.diff(finals) > 0.0)
 
 
@@ -385,30 +398,45 @@ class TestDensityTransport:
 
     def test_rejects_classical_ensemble(self):
         rec, _ = free_gaussian_record(n=512, dt=1e-3, n_steps=100, stride=10)
-        ens = TrajectoryEnsemble(rec.times, np.zeros((3, len(rec.times))), "classical")
+        ens = TrajectoryEnsemble(rec.times, np.zeros((len(rec.times), 3)), "classical")
         with pytest.raises(DomainError):
-            density_transport_check(rec, ens, np.zeros((2, len(rec.times))), PARAMS)
+            density_transport_check(rec, ens, np.zeros((len(rec.times), 2)), PARAMS)
+
+
+def test_every_record_is_time_major():
+    """Row s of every record array is the state at times[s]; M, n and T all differ here."""
+    rec = colliding_record("periodic")
+    polars = record_polars(rec, PARAMS)
+    bohmian = integrate_universes(rec, [-4.0, -3.0, 3.0], PARAMS)
+    classical = classical_ensemble_evolve([-2.0, -1.0, 0.0, 1.0, 2.0], np.zeros(5),
+                                          free_potential(rec.grid), PARAMS, 0.1, 7)
+    arrays = [(rec.times, rec.amplitudes), (rec.times, polars.R), (rec.times, polars.phi),
+              (rec.times, polars.node_mask), (bohmian.times, bohmian.positions),
+              (classical.ensemble.times, classical.ensemble.positions),
+              (classical.ensemble.times, classical.velocities)]
+    for times, array in arrays:
+        assert array.ndim == 2 and array.shape[0] == len(times) != array.shape[1]
 
 
 class TestTrajectoriesCsv:
     def test_frozen_flags_match_row_loop(self, tmp_path):
         times = np.linspace(0.0, 1.0, 11)
-        positions = np.cumsum(np.full((6, 11), 0.25), axis=0) + np.sin(times)
+        positions = np.cumsum(np.full((11, 6), 0.25), axis=1) + np.sin(times)[:, None]
         # never, mid-run (exactly on a recorded time and between two), last time, first, after the end
-        frozen_at = [np.nan, times[3], 0.35, times[-1], 0.0, 2.0]
-        ens = TrajectoryEnsemble(times, positions, "bohmian", frozen_at=frozen_at,
-                                 escaped_at=[0.5, np.nan, 0.1, np.nan, np.nan, 0.7])
-        path = tmp_path / "traj.csv"
-        trajectories_to_csv(ens, path)
-        text = path.read_bytes()
-        assert b"frozen" in text and b"escaped" in text
-        assert text == loop_trajectories_csv(ens)
+        stopped_at = [np.nan, times[3], 0.35, times[-1], 0.0, 2.0]
+        for kind, word, other in (("bohmian", b"frozen", b"escaped"), ("classical", b"escaped", b"frozen")):
+            ens = TrajectoryEnsemble(times, positions, kind, stopped_at)
+            path = tmp_path / f"{kind}.csv"
+            trajectories_to_csv(ens, path)
+            text = path.read_bytes()
+            assert word in text and other not in text  # the kind names the flag
+            assert text == loop_trajectories_csv(ens)
 
     def test_escaped_flags_match_row_loop(self, tmp_path):
         g = SpatialGrid(-10.0, 10.0, 256, "dirichlet")
         pos = np.linspace(-9.0, 9.0, 7)
         rec = classical_ensemble_evolve(pos, -3.0 * pos, free_potential(g), PARAMS, 0.05, 200)
-        assert np.isfinite(rec.ensemble.escaped_at).any()
+        assert np.isfinite(rec.ensemble.stopped_at).any()
         path = tmp_path / "traj.csv"
         trajectories_to_csv(rec.ensemble, path)
         assert path.read_bytes() == loop_trajectories_csv(rec.ensemble)
