@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -40,7 +41,6 @@ from typing import NamedTuple
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .branchstats import (
@@ -432,12 +432,23 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _scipy_version() -> str:
+    """scipy's __version__, read from its version.py without importing scipy.
+
+    Six of the eight experiments run no scipy code; importing scipy for this
+    stamp alone cost each of their runs about 16 ms.
+    """
+    namespace = {}
+    exec(Path(importlib.util.find_spec("scipy").origin).with_name("version.py").read_text(), namespace)
+    return namespace["version"]
+
+
 def _versions() -> dict:
     return {
         "mvlab": __version__,
         "numpy": np.__version__,
         "python": sys.version.split()[0],
-        "scipy": scipy.__version__,
+        "scipy": _scipy_version(),
     }
 
 

@@ -88,7 +88,8 @@ class TrajectoryEnsemble:
 class ClassicalEnsembleRecord:
     """Newtonian characteristics: positions and velocities per time per particle.
 
-    velocities is (T, M) like ensemble.positions; it is copied and made read-only.
+    velocities is (T, M) like ensemble.positions; like it, it is kept, not
+    copied, and made read-only.
     """
 
     params: PhysicalParams
@@ -97,7 +98,7 @@ class ClassicalEnsembleRecord:
     velocities: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.velocities, dtype=np.float64)
+        v = np.asarray(self.velocities, dtype=np.float64)
         _freeze(self, "velocities", v, self.ensemble.positions.shape)
 
 

@@ -114,7 +114,7 @@ def branch_correlation(theta: float) -> float:
 def per_snapshot_residual_pair(record, V, params, node_epsilon):
     """The continuity and Hamilton-Jacobi reports, one snapshot triple at a time.
 
-    The per-snapshot loop that mvlab.madelung's whole-stack residuals
+    The per-snapshot loop that mvlab.madelung's stacked residuals
     replaced: every snapshot is decomposed on its own and every kernel is
     applied to one (n,) row. Returns two (times, field, mask, scalar, scale)
     tuples, continuity first.
@@ -167,6 +167,52 @@ def per_snapshot_residual_pair(record, V, params, node_epsilon):
         scale = float(np.max(np.abs(rates[keep]))) if np.any(keep) else 0.0
         reports.append((times[1:-1].copy(), field, mask_arr, scalar, scale))
     return reports
+
+
+def whole_stack_residual_pair(record, V, params, node_epsilon):
+    """The continuity and Hamilton-Jacobi reports, each built over the whole stack at once.
+
+    The (T-2, n) arithmetic that mvlab.madelung's blocked pass replaced,
+    expression for expression: every temporary spans all interior
+    snapshots. Reads the record's cached polar stack. Returns two
+    (times, field, mask, scalar, scale) tuples, continuity first.
+    """
+    from mvlab.fields import gradient, laplacian
+    from mvlab.madelung import MASK_DILATION, dilate_mask, phase_gradient, record_polars
+
+    grid = record.grid
+    hbar, mass = params.hbar, params.mass
+    period = 2.0 * np.pi * hbar
+    periodic = grid.boundary == "periodic"
+    polars = record_polars(record, params, node_epsilon)
+    R, phi, nodes = polars.R, polars.phi, polars.node_mask
+    times = record.times
+    dt = (times[-1] - times[0]) / (len(times) - 1)
+
+    def wrap(delta):
+        return delta - period * np.round(delta / period)
+
+    def report(residual, rate):
+        mask = dilate_mask(nodes[:-2] | nodes[1:-1] | nodes[2:], MASK_DILATION, periodic)
+        if not periodic:
+            mask[:, :MASK_DILATION] = True
+            mask[:, -MASK_DILATION:] = True
+        keep = ~mask
+        sq_per_time = [float(np.sum(r[k] ** 2) * grid.dx) if k.any() else 0.0 for r, k in zip(residual, keep)]
+        scalar = float(np.sqrt(np.mean(sq_per_time)))
+        scale = float(np.max(np.abs(rate[keep]))) if keep.any() else 0.0
+        residual[mask] = np.nan
+        return times[1:-1].copy(), residual, mask, scalar, scale
+
+    d_density_dt = (R[2:] ** 2 - R[:-2] ** 2) / (2.0 * dt)
+    flux = phase_gradient(phi[1:-1], grid, hbar) * R[1:-1] ** 2 / mass
+    continuity = report(d_density_dt + gradient(flux, grid), d_density_dt)
+    rate = (wrap(phi[2:] - phi[1:-1]) + wrap(phi[1:-1] - phi[:-2])) / (2.0 * dt)
+    residual = rate + phase_gradient(phi[1:-1], grid, hbar) ** 2 / (2.0 * mass)
+    residual += V.values
+    curvature = laplacian(R[1:-1], grid) / np.where(nodes[1:-1], 1.0, R[1:-1])
+    residual -= (hbar**2 / (2.0 * mass)) * curvature
+    return [continuity, report(residual, rate)]
 
 
 def per_snapshot_universes(record, starts, params, node_epsilon):

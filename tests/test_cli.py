@@ -670,6 +670,23 @@ class TestStartupImports:
         assert module in modules
         assert "scipy.linalg" not in modules
 
+    def test_cli_and_a_bell_run_load_no_scipy(self, tmp_path):
+        def scipy_modules(modules):
+            return {name for name in modules if name == "scipy" or name.startswith("scipy.")}
+
+        status, modules = imported_modules(tmp_path, "-c", "import mvlab.cli")
+        assert status == 0 and "mvlab.cli" in modules
+        assert not scipy_modules(modules)
+        status, modules = imported_modules(tmp_path, "-m", "mvlab.cli", "bell", "--config",
+                                           str(CONFIGS / "bell.json"), "--out-dir", "out", "--quiet")
+        assert status == EXIT_OK
+        assert not scipy_modules(modules)
+        # the stamp is read from scipy's version.py, and is the version scipy reports
+        import scipy
+
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["versions"]["scipy"] == scipy.__version__
+
     def test_periodic_evolve_leaves_out_scipy_linalg(self, tmp_path):
         status, modules = imported_modules(tmp_path, "-m", "mvlab.cli", "evolve", "--config",
                                            str(CONFIGS / "evolve.json"), "--out-dir", "out", "--quiet")

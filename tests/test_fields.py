@@ -215,7 +215,7 @@ class TestFreeze:
     def test_copy_or_keep_and_read_only(self):
         kept = {("PolarField", "R"), ("PolarField", "node_mask"), ("EvolutionRecord", "amplitudes"),
                 ("TrajectoryEnsemble", "times"), ("TrajectoryEnsemble", "positions"),
-                ("TrajectoryEnsemble", "stopped_at")}
+                ("TrajectoryEnsemble", "stopped_at"), ("ClassicalEnsembleRecord", "velocities")}
         for record, name, given in self.records():
             held = getattr(record, name)
             assert (held is given) == ((type(record).__name__, name) in kept), (record, name)

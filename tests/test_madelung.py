@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -9,12 +10,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from corpus import corpus
-from oracles import discrete_harmonic_ground_state, gaussian_quantum_potential, per_snapshot_residual_pair
+from oracles import (
+    discrete_harmonic_ground_state,
+    gaussian_quantum_potential,
+    per_snapshot_residual_pair,
+    whole_stack_residual_pair,
+)
 
 import mvlab.madelung
 from mvlab.cli import EXIT_OK, ExperimentConfig, run
 from mvlab.errors import DomainError
-from mvlab.evolution import evolve_schrodinger
+from mvlab.evolution import EvolutionRecord, evolve_schrodinger
 from mvlab.fields import (
     GridWavefunction,
     PhysicalParams,
@@ -530,6 +536,19 @@ def odd_case():
     return rec, free_potential(rec.grid)
 
 
+def assert_reports_equal(reports, expected):
+    """Residual reports bit for bit equal to an oracle's (times, field, mask, scalar, scale) tuples."""
+    for report, (times, field, mask, scalar, scale) in zip(reports, expected, strict=True):
+        for got, want in ((report.times, times), (report.field, field), (report.mask, mask)):
+            assert got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+        assert report.scalar == scalar and report.scale == scale
+
+
+def residual_pair(rec, V, node_epsilon):
+    return (continuity_residual(rec, PARAMS, node_epsilon),
+            hamilton_jacobi_residual(rec, V, PARAMS, node_epsilon))
+
+
 @pytest.mark.parametrize("case, node_epsilon", [
     (free_gaussian_case, 1e-6),
     (ground_state_case, 1e-6),
@@ -538,14 +557,77 @@ def odd_case():
 ])
 def test_stacked_residuals_equal_the_per_snapshot_loop(case, node_epsilon):
     rec, V = case()
-    reports = (continuity_residual(rec, PARAMS, node_epsilon),
-               hamilton_jacobi_residual(rec, V, PARAMS, node_epsilon))
-    for report, expected in zip(reports, per_snapshot_residual_pair(rec, V, PARAMS, node_epsilon), strict=True):
-        times, field, mask, scalar, scale = expected
-        for got, want in ((report.times, times), (report.field, field), (report.mask, mask)):
-            assert got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
-        assert report.scalar == scalar and report.scale == scale
+    reports = residual_pair(rec, V, node_epsilon)
+    assert_reports_equal(reports, per_snapshot_residual_pair(rec, V, PARAMS, node_epsilon))
+    assert_reports_equal(reports, whole_stack_residual_pair(rec, V, PARAMS, node_epsilon))
+    for report in reports:
         assert report.mask.any() and not report.mask.all()  # both branches of the mask are exercised
+
+
+def unit_rows_record(grid, amplitudes, dt=1e-3):
+    """A record of these (T, n) amplitudes, each row scaled to unit norm, dt apart."""
+    amps = amplitudes / np.sqrt(np.sum(np.abs(amplitudes) ** 2, axis=1, keepdims=True) * grid.dx)
+    return EvolutionRecord(PARAMS, free_potential(grid), dt, 1, np.arange(len(amps)) * dt, amps)
+
+
+@pytest.mark.parametrize("node_epsilon", [1e-6, 1e-3])
+@pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+@pytest.mark.parametrize("interior", [1, 2, 3, 4, 7])
+def test_blocks_of_three_equal_the_whole_stack(monkeypatch, interior, boundary, node_epsilon):
+    # blocks of 3 interior rows: one partial block, one whole, and 7 = 3 + 3 + 1
+    monkeypatch.setattr(mvlab.madelung, "RESIDUAL_BLOCK", 3)
+    g = SpatialGrid(-20.0, 20.0, 256, boundary)
+    odd = evolve_schrodinger(odd_state(g), free_potential(g), PARAMS, 1e-3, interior + 1, snapshot_stride=1)
+    # a node only in snapshot 3 (or the last): it masks interior rows 1-3, across the first block edge
+    amps = odd.amplitudes.copy()
+    amps[min(3, interior + 1), np.argmax(np.abs(amps[0]))] = 0.0
+    for rec in (odd, unit_rows_record(g, amps)):
+        V = rec.potential
+        reports = residual_pair(rec, V, node_epsilon)
+        assert reports[0].field.shape == (interior, g.n_points)
+        assert_reports_equal(reports, whole_stack_residual_pair(rec, V, PARAMS, node_epsilon))
+        assert_reports_equal(reports, per_snapshot_residual_pair(rec, V, PARAMS, node_epsilon))
+
+
+@st.composite
+def records_with_zeros(draw):
+    """A record of 3 to 10 random rows, zero where a random mask is set, on either boundary."""
+    T, n = draw(st.integers(3, 10)), draw(st.integers(8, 40))
+    grid = SpatialGrid(-4.0, 4.0, n, draw(st.sampled_from(["periodic", "dirichlet"])))
+    part = arrays(np.int8, (T, n), elements=st.integers(-8, 8))  # eighths: no squared sum underflows
+    amps = (draw(part) + 1j * draw(part)) / 8.0
+    amps[draw(arrays(bool, (T, n)))] = 0.0
+    assume(np.abs(amps).max(axis=1).min() > 0.0)
+    return unit_rows_record(grid, amps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(records_with_zeros(), st.integers(1, 9), st.sampled_from([1e-6, 1e-3, 0.1]))
+def test_any_block_size_equals_the_whole_stack(rec, block, node_epsilon):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mvlab.madelung, "RESIDUAL_BLOCK", block)
+        reports = residual_pair(rec, rec.potential, node_epsilon)
+    assert_reports_equal(reports, whole_stack_residual_pair(rec, rec.potential, PARAMS, node_epsilon))
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+def test_residual_peak_memory_is_the_report_and_a_few_blocks(boundary):
+    # 199 interior rows: the blocked pass peaks about 7 block-sized temporaries above its
+    # report, where whole-stack temporaries cost 34 to 43 of them
+    g = SpatialGrid(-16.0, 16.0, 1024, boundary)
+    V = free_potential(g)
+    rec = evolve_schrodinger(make_gaussian_packet(g, 0.0, 1.0, 0.5, PARAMS), V, PARAMS, 1e-3, 200,
+                             snapshot_stride=1)
+    record_polars(rec, PARAMS)  # the cached stack is the record's, not the residual's
+    block_bytes = (mvlab.madelung.RESIDUAL_BLOCK + 2) * g.n_points * 8
+    for residual in (lambda: continuity_residual(rec, PARAMS), lambda: hamilton_jacobi_residual(rec, V, PARAMS)):
+        tracemalloc.start()
+        try:
+            report = residual()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < report.field.nbytes + report.mask.nbytes + 10 * block_bytes
 
 
 @st.composite

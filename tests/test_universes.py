@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -281,6 +282,22 @@ class TestClassicalFlow:
         g = SpatialGrid(-10.0, 10.0, 256)
         rec = classical_ensemble_evolve([0.0, 1.0], velocities, free_potential(g), PARAMS, 1e-2, 0)
         assert rec.velocities[0].tolist() == [float(v) for v in velocities]
+
+    def test_peak_memory_is_the_two_recorded_arrays(self):
+        # the record keeps the (T, M) velocities it is built from, as it keeps positions,
+        # so a run peaks at the two arrays the CLI's caustic size rule counts; the
+        # finiteness check's bool temporary adds an eighth of one
+        g = SpatialGrid(-10.0, 10.0, 256, "dirichlet")
+        x = np.linspace(-5.0, 5.0, 1001)
+        tracemalloc.start()
+        try:
+            rec = classical_ensemble_evolve(x, -x, free_potential(g), PARAMS, 1e-3, 500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        one = rec.velocities.nbytes
+        assert rec.ensemble.positions.nbytes == one == 501 * 1001 * 8
+        assert peak < 2.25 * one
 
 
 class TestCrossingCount:
