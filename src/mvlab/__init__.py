@@ -12,13 +12,11 @@ _EXPORTS = {
     "branchstats": (
         "BranchSequence",
         "BranchTree",
-        "FrequencyMoments",
         "central_moment",
         "central_moment_exact",
         "convergence_demo",
         "enumerate_branch_tree",
         "expected_frequency",
-        "frequency_moments",
         "moment_scaling_report",
         "prob_r_given_N",
         "sample_observer_branch",

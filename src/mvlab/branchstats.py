@@ -226,30 +226,6 @@ def expected_frequency(N: int, p: float) -> float:
 
 
 @dataclass(frozen=True)
-class FrequencyMoments:
-    """Central moments of f = r/N, exact values held as floats."""
-
-    N: int
-    p: float
-    moments: dict
-
-    def __post_init__(self):
-        if self.moments.get(0, 1.0) != 1.0:
-            raise DomainError("moment of order 0 must be 1")
-        if self.moments.get(1, 0.0) != 0.0:
-            raise DomainError("moment of order 1 must be 0")
-
-
-def frequency_moments(N: int, p: float, m_max: int) -> FrequencyMoments:
-    """Bundle central moments of orders 0..m_max."""
-    if m_max < 0:
-        raise DomainError(f"m_max must be nonnegative, got {m_max}")
-    _checked(N, p)
-    values = _central_moments(m_max, N, Fraction(p))
-    return FrequencyMoments(N, float(p), {m: float(v) for m, v in enumerate(values)})
-
-
-@dataclass(frozen=True)
 class MomentScalingEntry:
     order: int
     N: int

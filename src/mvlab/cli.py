@@ -33,7 +33,6 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -98,12 +97,6 @@ class ConfigError(MvLabError):
     """Configuration rejected before any computation ran."""
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    experiment: str
-    parameters: dict
-
-
 class Param:
     """One schema entry: name, JSON kind, optional range check."""
 
@@ -126,8 +119,11 @@ class _LongInteger:
         return f"an integer literal of {self.digits} digits"
 
 
-def _read_json(text: str):
-    """json.loads, with each integer literal too long for int() kept as a _LongInteger."""
+def _read_json(text: str, source: str):
+    """json.loads, with each integer literal too long for int() kept as a _LongInteger.
+
+    Nesting past the parser's recursion limit is refused as a ConfigError naming source.
+    """
 
     def parse_int(literal: str):
         try:
@@ -135,7 +131,10 @@ def _read_json(text: str):
         except ValueError:  # past sys.get_int_max_str_digits()
             return _LongInteger(literal)
 
-    return json.loads(text, parse_int=parse_int)
+    try:
+        return json.loads(text, parse_int=parse_int)
+    except RecursionError:
+        raise ConfigError(f"{source} nests JSON past the parser's recursion limit") from None
 
 
 def _number(param: Param, value, integer: bool):
@@ -452,23 +451,23 @@ def _versions() -> dict:
     }
 
 
-def run(config: ExperimentConfig, out_dir=".", quiet: bool = False) -> int:
-    """Execute one experiment; returns the process exit status."""
-    if config.experiment not in EXPERIMENTS:
-        print(f"error: unknown experiment {config.experiment!r}", file=sys.stderr)
+def run(experiment: str, parameters: dict, out_dir=".", quiet: bool = False) -> int:
+    """Execute one experiment on its raw parameters; returns the process exit status."""
+    if experiment not in EXPERIMENTS:
+        print(f"error: unknown experiment {experiment!r}", file=sys.stderr)
         return EXIT_CONFIG
-    experiment = EXPERIMENTS[config.experiment]
+    entry = EXPERIMENTS[experiment]
     started = time.perf_counter()
     try:
-        parameters = _validate(experiment.schema, config.parameters, config.experiment)
-        n_bytes = experiment.size(parameters)
+        parameters = _validate(entry.schema, parameters, experiment)
+        n_bytes = entry.size(parameters)
         if n_bytes > MAX_RUN_BYTES:
             raise CapacityError(
                 f"the run needs about {n_bytes >> 20} MiB of arrays, "
                 f"over the {MAX_RUN_BYTES >> 20} MiB cap; reduce its size parameters"
             )
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            outputs = experiment.run(parameters)
+            outputs = entry.run(parameters)
     except (ConfigError, DomainError, ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -481,7 +480,7 @@ def run(config: ExperimentConfig, out_dir=".", quiet: bool = False) -> int:
 
     out_path = Path(out_dir)
     manifest = {
-        "experiment": config.experiment,
+        "experiment": experiment,
         "parameters": parameters,
         "status": "ok",
         "versions": _versions(),
@@ -507,7 +506,7 @@ def run(config: ExperimentConfig, out_dir=".", quiet: bool = False) -> int:
         return EXIT_IO
     if not quiet:
         names = ", ".join(list(outputs) + ["manifest.json"])
-        print(f"{config.experiment}: wrote {names} to {out_path}")
+        print(f"{experiment}: wrote {names} to {out_path}")
     return EXIT_OK
 
 
@@ -518,7 +517,7 @@ def _parse_set(entries) -> dict:
         if not sep or not key:
             raise ConfigError(f"--set expects key=value, got {entry!r}")
         try:
-            overrides[key] = _read_json(raw)
+            overrides[key] = _read_json(raw, f"--set {key}")
         except json.JSONDecodeError:
             overrides[key] = raw
     return overrides
@@ -542,7 +541,7 @@ def main(argv=None) -> int:
         print(f"error: unknown experiment {args.experiment!r}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        parameters = _read_json(Path(args.config).read_text())
+        parameters = _read_json(Path(args.config).read_text(encoding="utf-8"), "config")
         if not isinstance(parameters, dict):
             raise ConfigError("config must be a JSON object")
         declared = parameters.pop("experiment", None)
@@ -553,7 +552,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ConfigError as exc:
@@ -562,8 +561,7 @@ def main(argv=None) -> int:
     if args.seed is not None:  # the same as --set seed=, validated with the rest
         parameters["seed"] = args.seed
 
-    config = ExperimentConfig(args.experiment, parameters)
-    return run(config, out_dir=args.out_dir, quiet=args.quiet)
+    return run(args.experiment, parameters, out_dir=args.out_dir, quiet=args.quiet)
 
 
 if __name__ == "__main__":

@@ -44,14 +44,13 @@ class EvolutionRecord:
     """Uniformly spaced snapshots of a single wave evolution, row s of amplitudes at times[s].
 
     The (T, n) amplitude array is kept and times is copied; both are made
-    read-only. Row norms are checked against row 0: a drift beyond 1e-8
-    means the integrator violated unitarity and the record is refused.
+    read-only. The times must increase, each spacing within 1e-9 relative of
+    the mean step (t[-1] - t[0])/(T - 1), the step the residuals difference
+    by. Row norms are checked against row 0: a drift beyond 1e-8 means the
+    integrator violated unitarity and the record is refused.
     """
 
-    params: PhysicalParams
     potential: PotentialField
-    dt: float
-    snapshot_stride: int
     times: np.ndarray
     amplitudes: np.ndarray
     _polars: tuple | None = field(default=None, init=False, repr=False)  # see record_polars
@@ -61,9 +60,9 @@ class EvolutionRecord:
         if times.size == 0:
             raise DomainError("a record needs at least one snapshot time")
         _freeze(self, "times", times, (times.size,))
-        spacing, target = np.diff(times), self.dt * self.snapshot_stride
-        if np.any(spacing <= 0.0) or np.any(np.abs(spacing - target) > 1e-9 * max(target, 1e-300)):
-            raise DomainError("snapshot times must increase uniformly by dt*stride")
+        spacing, step = np.diff(times), (times[-1] - times[0]) / max(times.size - 1, 1)
+        if np.any(spacing <= 0.0) or np.any(np.abs(spacing - step) > 1e-9 * step):
+            raise DomainError("snapshot times must increase uniformly")
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         _freeze(self, "amplitudes", amps, (times.size, self.grid.n_points))
         norms = np.vecdot(amps, amps).real * self.grid.dx  # no (T, n) temporary, unlike sum(|a|**2)
@@ -138,7 +137,7 @@ def evolve_schrodinger(
             if k % stride == 0:
                 amplitudes[k // stride] = psi
     times = np.arange(len(amplitudes)) * (dt * stride)
-    return EvolutionRecord(params, V, dt, stride, times, amplitudes)
+    return EvolutionRecord(V, times, amplitudes)
 
 
 def _scipy_extension(name: str):

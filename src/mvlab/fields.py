@@ -123,18 +123,16 @@ def free_potential(grid: SpatialGrid) -> PotentialField:
     return PotentialField(grid, np.zeros(grid.n_points))
 
 
-def harmonic_potential(
-    grid: SpatialGrid, omega: float, params: PhysicalParams, center: float = 0.0
-) -> PotentialField:
-    """V = m*omega^2*(x - center)^2 / 2."""
+def harmonic_potential(grid: SpatialGrid, omega: float, params: PhysicalParams) -> PotentialField:
+    """V = m*omega^2*x^2 / 2."""
     if not (omega > 0.0 and math.isfinite(omega * omega)):
         raise DomainError(f"omega must be positive with a finite square, got {omega}")
     x = grid.points
-    reach = max(abs(float(x[0]) - center), abs(float(x[-1]) - center))  # the largest |x - center|
+    reach = max(abs(float(x[0])), abs(float(x[-1])))  # the largest |x|
     if not math.isfinite(0.5 * params.mass * (omega * omega) * (reach * reach)):  # Python floats: inf, no warning
-        raise DomainError(f"the harmonic potential 0.5*mass*omega**2*(x - center)**2 is past float "
+        raise DomainError(f"the harmonic potential 0.5*mass*omega**2*x**2 is past float "
                           f"range on the grid (omega={omega}, mass={params.mass})")
-    return PotentialField(grid, 0.5 * params.mass * omega**2 * (x - center) ** 2)
+    return PotentialField(grid, 0.5 * params.mass * omega**2 * x**2)
 
 
 def make_gaussian_packet(

@@ -205,8 +205,9 @@ def record_polars(
 ) -> PolarField:
     """The record decomposed into one (T, n) stack: one decompose call, held on the record.
 
-    The stack is keyed by (hbar, node_epsilon); a call with another key
-    rebuilds it, so a record holds at most one stack.
+    The stack is keyed by (hbar, node_epsilon), since the record holds no
+    hbar of its own; a call with another key rebuilds it, so a record holds
+    at most one stack.
     """
     key = (params.hbar, node_epsilon)
     if record._polars is None or record._polars[0] != key:

@@ -38,10 +38,6 @@ class Direction:
     def __post_init__(self):
         _check_theta(self.theta)
 
-    @property
-    def azimuth(self) -> float:
-        return 0.0
-
 
 @dataclass(frozen=True)
 class TwoSpinState:

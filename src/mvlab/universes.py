@@ -65,7 +65,7 @@ class TrajectoryEnsemble:
     times: np.ndarray
     positions: np.ndarray
     kind: str
-    stopped_at: np.ndarray | None = None
+    stopped_at: np.ndarray
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=np.float64)
@@ -76,8 +76,8 @@ class TrajectoryEnsemble:
         _freeze(self, "positions", positions, times.shape + positions.shape[-1:])  # (T, M)
         if self.kind not in KINDS:
             raise DomainError(f"kind must be one of {tuple(KINDS)}, got {self.kind!r}")
-        stops = np.full(positions.shape[1:], np.nan) if self.stopped_at is None else self.stopped_at
-        _freeze(self, "stopped_at", np.asarray(stops, dtype=np.float64), positions.shape[1:], finite=False)
+        stops = np.asarray(self.stopped_at, dtype=np.float64)
+        _freeze(self, "stopped_at", stops, positions.shape[1:], finite=False)
 
     @property
     def n_trajectories(self) -> int:
@@ -92,8 +92,6 @@ class ClassicalEnsembleRecord:
     copied, and made read-only.
     """
 
-    params: PhysicalParams
-    potential: PotentialField
     ensemble: TrajectoryEnsemble
     velocities: np.ndarray
 
@@ -256,7 +254,7 @@ def classical_ensemble_evolve(
         positions[step], velocities[step] = y
 
     ensemble = TrajectoryEnsemble(times, positions, "classical", stopped_at)
-    return ClassicalEnsembleRecord(params, V, ensemble, velocities)
+    return ClassicalEnsembleRecord(ensemble, velocities)
 
 
 def crossing_count(ensemble: TrajectoryEnsemble) -> int:

@@ -17,7 +17,6 @@ from mvlab.branchstats import (
     convergence_to_csv,
     enumerate_branch_tree,
     expected_frequency,
-    frequency_moments,
     moment_scaling_report,
     prob_r_given_N,
     sample_observer_branch,
@@ -201,18 +200,11 @@ class TestCentralMoments:
         exact = central_moment_exact(2, 10, Fraction(0.1))
         assert central_moment(2, 10, 0.1) == float(exact)
 
-    def test_frequency_moments_bundle(self):
-        fm = frequency_moments(10, 0.25, 4)
-        assert fm.moments[0] == 1.0
-        assert fm.moments[1] == 0.0
-        assert fm.moments[2] == 0.01875
-
     @pytest.mark.parametrize("p", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("moment", [
         lambda p: central_moment_exact(2, 10, p),
         lambda p: central_moment(2, 10, p),
-        lambda p: frequency_moments(10, p, 4),
-    ], ids=["central_moment_exact", "central_moment", "frequency_moments"])
+    ], ids=["central_moment_exact", "central_moment"])
     def test_non_finite_p_refused(self, moment, p):
         with pytest.raises(DomainError, match=r"p must lie in \[0, 1\]"):
             moment(p)

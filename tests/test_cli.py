@@ -542,6 +542,26 @@ class TestFailureModes:
         assert (out / "correlation.csv").exists()
         assert not (out / "manifest.json").exists()
 
+    # what the JSON reader cannot take: bytes that are not UTF-8, nesting past the recursion limit
+    @pytest.mark.parametrize("config_bytes, override, named", [
+        (b"\xff\xfe{", None, "config is not valid JSON"),
+        (b"[" * 100_000, None, "config nests JSON"),
+        (None, "angles=" + "[" * 100_000, "--set angles nests JSON"),
+    ], ids=["config-not-utf8", "config-nested", "set-nested"])
+    def test_unreadable_json_exits_2_with_one_line(self, tmp_path, capsys, config_bytes, override, named):
+        config, out = CONFIGS / "bell.json", tmp_path / "out"
+        if config_bytes is not None:
+            config = tmp_path / "c.json"
+            config.write_bytes(config_bytes)
+        args = ["bell", "--config", str(config), "--out-dir", str(out)] + (["--set", override] if override else [])
+        assert run_cli(*args) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}") and len(err.splitlines()) == 1, err
+        proc = subprocess.run([sys.executable, "-m", "mvlab.cli", *args], env=fresh_env(), capture_output=True,
+                              text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (EXIT_CONFIG, err)
+        assert not out.exists()
+
     def test_malformed_set_entry(self, tmp_path, capsys):
         status = run_cli("spin_split", "--config", str(CONFIGS / "spin_split.json"),
                          "--set", "thetapi", "--out-dir", str(tmp_path / "o"))
@@ -579,9 +599,9 @@ def fresh_python(code, **env):
 
 # the package's public names, as its eager imports bound them before it loaded lazily
 PUBLIC_NAMES = {
-    "branchstats": "BranchSequence BranchTree FrequencyMoments central_moment central_moment_exact "
-                   "convergence_demo enumerate_branch_tree expected_frequency frequency_moments "
-                   "moment_scaling_report prob_r_given_N sample_observer_branch sequence_weight",
+    "branchstats": "BranchSequence BranchTree central_moment central_moment_exact convergence_demo "
+                   "enumerate_branch_tree expected_frequency moment_scaling_report prob_r_given_N "
+                   "sample_observer_branch sequence_weight",
     "errors": "CapacityError CommensurabilityError DomainError GuardError MvLabError ProtocolError "
               "ResolutionError StabilityError",
     "evolution": "EvolutionRecord evolve_schrodinger",

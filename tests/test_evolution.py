@@ -455,7 +455,7 @@ class TestRecord:
 
     @staticmethod
     def rebuilt(rec, amplitudes):
-        return EvolutionRecord(rec.params, rec.potential, rec.dt, rec.snapshot_stride, rec.times, amplitudes)
+        return EvolutionRecord(rec.potential, rec.times, amplitudes)
 
     def test_one_read_only_stack(self):
         rec = self.record()
@@ -489,6 +489,35 @@ class TestRecord:
         for amps in (rec.amplitudes[:-1], rec.amplitudes[:, :-1], rec.amplitudes[0]):
             with pytest.raises(DomainError, match="shape"):
                 self.rebuilt(rec, amps)
+
+    # the times alone fix the step: each spacing within 1e-9 relative of (t[-1] - t[0])/(T - 1)
+    @pytest.mark.parametrize("times, refusal", [
+        ([], "at least one snapshot time"),
+        ([0.0, 1.0, 1.0], "increase uniformly"),
+        ([0.0, 2.0, 1.0], "increase uniformly"),
+        ([0.0, 1.0, 2.0 + 1e-6, 3.0], "increase uniformly"),
+        ([0.5], None),
+        ([0.0, 0.3], None),
+        ([0.0, 1.0, 2.0 + 1e-10, 3.0], None),
+    ], ids=["empty", "equal", "decreasing", "off-by-1e-6", "T=1", "T=2", "off-by-1e-10"])
+    def test_times_rules(self, times, refusal):
+        g = SpatialGrid(-8.0, 8.0, 16)
+        amps = np.full((len(times), 16), 0.25, dtype=complex)
+        if refusal is None:
+            assert EvolutionRecord(free_potential(g), times, amps).times.tolist() == times
+        else:
+            with pytest.raises(DomainError, match=refusal):
+                EvolutionRecord(free_potential(g), times, amps)
+
+    # evolve_schrodinger's times are k*(dt*stride), up to the 512-snapshot cap or one per step
+    @pytest.mark.parametrize("dt, n_steps, stride", [
+        (0.1, 7, None), (1.0 / 3.0, 30, 3), (1e-7, 5000, None), (1e-3, 5000, 1), (0.01, 0, None),
+    ])
+    def test_evolved_times_are_accepted(self, dt, n_steps, stride):
+        g = SpatialGrid(-8.0, 8.0, 16)
+        wf0 = make_gaussian_packet(g, 0.0, 4.0, 0.0, PARAMS)
+        rec = evolve_schrodinger(wf0, free_potential(g), PARAMS, dt, n_steps, stride)
+        assert self.rebuilt(rec, rec.amplitudes).times.tobytes() == rec.times.tobytes()
 
 
 class TestUnitarityInvariant:

@@ -112,7 +112,7 @@ class TestGaussianPacket:
 
 
 class TestHarmonicPotential:
-    # (x - center)**2 reaches 400 on grid(); 1e150 keeps the largest value finite, near 2e302
+    # x**2 reaches 400 on grid(); 1e150 keeps the largest value finite, near 2e302
     @pytest.mark.parametrize("omega, mass", [(1.0, 1.7e308), (1e154, 1.0), (1e150, 1e10)])
     def test_potential_past_float_range_names_omega_and_mass(self, omega, mass):
         with pytest.raises(DomainError, match=r"past float range.*omega=.*mass="):
@@ -196,7 +196,7 @@ class TestFreeze:
         amps, real, mask = np.ones(16, dtype=complex) / 4.0, np.ones(16), np.zeros(16, dtype=bool)
         polar = PolarField(g, real, real.copy(), mask)
         stack, times = np.tile(amps, (3, 1)), np.arange(3.0)
-        record = EvolutionRecord(PARAMS, free_potential(g), 1.0, 1, times, stack)
+        record = EvolutionRecord(free_potential(g), times, stack)
         positions, flags = np.zeros((3, 2)), np.array([np.nan, 1.0])
         ensemble = TrajectoryEnsemble(times, positions, "bohmian", stopped_at=flags)
         velocities, weights = np.zeros((3, 2)), np.full(4, 0.25)
@@ -207,8 +207,7 @@ class TestFreeze:
             (record, "times", times), (record, "amplitudes", stack),
             (ensemble, "times", times), (ensemble, "positions", positions),
             (ensemble, "stopped_at", flags),
-            (ClassicalEnsembleRecord(PARAMS, free_potential(g), ensemble, velocities),
-             "velocities", velocities),
+            (ClassicalEnsembleRecord(ensemble, velocities), "velocities", velocities),
             (BranchTree(2, 0.5, weights), "weights", weights),
         ]
 
@@ -225,10 +224,10 @@ class TestFreeze:
     def test_times_and_weights_must_be_finite(self, value):
         times = np.array([0.0, 1.0, value])
         with pytest.raises(DomainError, match="NaN or Inf in times"):
-            TrajectoryEnsemble(times, np.zeros((3, 2)), "bohmian")
+            TrajectoryEnsemble(times, np.zeros((3, 2)), "bohmian", np.full(2, np.nan))
         g = grid(n=16)
         with pytest.raises(DomainError, match="NaN or Inf in times"):
-            EvolutionRecord(PARAMS, free_potential(g), 1.0, 1, times, np.ones((3, 16)) / 4.0)
+            EvolutionRecord(free_potential(g), times, np.ones((3, 16)) / 4.0)
         with pytest.raises(DomainError, match="NaN or Inf in weights"):
             BranchTree(1, 0.5, [value, 0.5])
 

@@ -18,7 +18,7 @@ from oracles import (
 )
 
 import mvlab.madelung
-from mvlab.cli import EXIT_OK, ExperimentConfig, run
+from mvlab.cli import EXIT_OK, run
 from mvlab.errors import DomainError
 from mvlab.evolution import EvolutionRecord, evolve_schrodinger
 from mvlab.fields import (
@@ -493,7 +493,7 @@ class TestRecordPolars:
         config = Path(__file__).resolve().parent.parent / "configs" / "universes.json"
         parameters = json.loads(config.read_text())
         parameters.pop("experiment")
-        assert run(ExperimentConfig("universes", parameters), tmp_path, quiet=True) == EXIT_OK
+        assert run("universes", parameters, tmp_path, quiet=True) == EXIT_OK
         assert calls["decompose"] == 1
 
     def test_reused_record_matches_fresh(self):
@@ -567,7 +567,7 @@ def test_stacked_residuals_equal_the_per_snapshot_loop(case, node_epsilon):
 def unit_rows_record(grid, amplitudes, dt=1e-3):
     """A record of these (T, n) amplitudes, each row scaled to unit norm, dt apart."""
     amps = amplitudes / np.sqrt(np.sum(np.abs(amplitudes) ** 2, axis=1, keepdims=True) * grid.dx)
-    return EvolutionRecord(PARAMS, free_potential(grid), dt, 1, np.arange(len(amps)) * dt, amps)
+    return EvolutionRecord(free_potential(grid), np.arange(len(amps)) * dt, amps)
 
 
 @pytest.mark.parametrize("node_epsilon", [1e-6, 1e-3])

@@ -57,7 +57,6 @@ class TestStatesAndLabels:
             Direction(-0.1)
         with pytest.raises(DomainError):
             Direction(math.pi + 0.1)
-        assert Direction(1.0).azimuth == 0.0
 
     def test_state_must_be_normalized(self):
         with pytest.raises(DomainError):

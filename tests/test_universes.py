@@ -314,7 +314,7 @@ class TestCrossingCount:
         assert crossing_count(ens) == 0
 
     def test_single_trajectory_zero(self):
-        ens = TrajectoryEnsemble(np.array([0.0, 1.0]), np.array([[0.0], [5.0]]), "classical")
+        ens = TrajectoryEnsemble(np.array([0.0, 1.0]), np.array([[0.0], [5.0]]), "classical", [np.nan])
         assert crossing_count(ens) == 0
 
     def test_order_preservation_implies_monotone_map(self):
@@ -415,7 +415,7 @@ class TestDensityTransport:
 
     def test_rejects_classical_ensemble(self):
         rec, _ = free_gaussian_record(n=512, dt=1e-3, n_steps=100, stride=10)
-        ens = TrajectoryEnsemble(rec.times, np.zeros((len(rec.times), 3)), "classical")
+        ens = TrajectoryEnsemble(rec.times, np.zeros((len(rec.times), 3)), "classical", np.full(3, np.nan))
         with pytest.raises(DomainError):
             density_transport_check(rec, ens, np.zeros((len(rec.times), 2)), PARAMS)
 
