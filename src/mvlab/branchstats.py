@@ -60,10 +60,6 @@ class BranchSequence:
         return sum(self.outcomes)
 
     @property
-    def frequency(self) -> float:
-        return self.aligned_count / self.n
-
-    @property
     def bits(self) -> str:
         """'1'/'0' string, first measurement leftmost."""
         return "".join("1" if o else "0" for o in self.outcomes)
@@ -243,11 +239,7 @@ class MomentScalingReport:
     done in exact rational arithmetic, so 'ok' carries no rounding slack.
     """
 
-    p: float
-    N_values: tuple
-    m_max: int
     entries: tuple
-    constants: dict
 
     @property
     def satisfied(self) -> bool:
@@ -264,17 +256,15 @@ def moment_scaling_report(m_max: int, N_values, p: float) -> MomentScalingReport
     p = _checked(ns[0], p)
     moments = {n: _central_moments(m_max, n, Fraction(p)) for n in ns}
     entries = []
-    constants = {}
     for m in range(2, m_max + 1):
         c_m = abs(moments[ns[0]][m]) * ns[0]
-        constants[m] = float(c_m)
         for n in ns:
             value = moments[n][m]
             bound = c_m / n
             entries.append(
                 MomentScalingEntry(m, n, float(value), float(bound), abs(value) <= bound)
             )
-    return MomentScalingReport(p, tuple(ns), m_max, tuple(entries), constants)
+    return MomentScalingReport(tuple(entries))
 
 
 def sample_observer_branch(N: int, p: float, seed: int):

@@ -137,11 +137,17 @@ def _read_json(text: str, source: str):
         raise ConfigError(f"{source} nests JSON past the parser's recursion limit") from None
 
 
+def _shown(value) -> str:
+    """repr(value) for an error line, cut to 200 characters plus '...': the line stays short."""
+    text = repr(value)
+    return text if len(text) <= 200 else text[:200] + "..."
+
+
 def _number(param: Param, value, integer: bool):
     """One value of an int or float parameter (or list entry); a float must be finite."""
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         noun = "integers" if integer else "numbers"
-        raise ConfigError(f"parameter {param.name!r} takes {noun}, got {value!r}")
+        raise ConfigError(f"parameter {param.name!r} takes {noun}, got {_shown(value)}")
     if integer:
         return value
     try:
@@ -157,11 +163,11 @@ def _coerce(param: Param, value):
     kind = param.kind
     if kind == "str":
         if not isinstance(value, str):
-            raise ConfigError(f"parameter {param.name!r} must be a string, got {value!r}")
+            raise ConfigError(f"parameter {param.name!r} must be a string, got {_shown(value)}")
         return value
     if kind in ("int_list", "float_list"):
         if not isinstance(value, (list, tuple)) or len(value) == 0:
-            raise ConfigError(f"parameter {param.name!r} must be a nonempty list, got {value!r}")
+            raise ConfigError(f"parameter {param.name!r} must be a nonempty list, got {_shown(value)}")
         return [_number(param, item, kind == "int_list") for item in value]
     return _number(param, value, kind == "int")
 
@@ -170,7 +176,7 @@ def _validate(schema: list[Param], raw: dict, experiment: str) -> dict:
     by_name = {p.name: p for p in schema}
     for key in raw:
         if key not in by_name:
-            raise ConfigError(f"unknown parameter {key!r} for experiment {experiment!r}")
+            raise ConfigError(f"unknown parameter {_shown(key)} for experiment {experiment!r}")
     out = {}
     for param in schema:
         if param.name in raw:
@@ -181,7 +187,7 @@ def _validate(schema: list[Param], raw: dict, experiment: str) -> dict:
             value = param.default
         if value is not None and param.check is not None and not param.check(value):
             raise ConfigError(
-                f"parameter {param.name!r} out of range: {value!r} (expected {param.note})"
+                f"parameter {param.name!r} out of range: {_shown(value)} (expected {param.note})"
             )
         out[param.name] = value
     return out
@@ -199,12 +205,10 @@ _NODE_EPS = Param(  # a universes run decomposes, so refuses it, only after the 
 )
 
 
-def _build_grid(p):
-    return SpatialGrid(p["x_min"], p["x_max"], p["n_points"], p["boundary"])
-
-
-def _build_packet(p, grid, params):
-    return make_gaussian_packet(grid, p["x0"], p["sigma"], p["k0"], params)
+def _wave_setup(p):
+    """A wave run's constants and grid, validated in that order."""
+    params = PhysicalParams(p["hbar"], p["mass"])
+    return params, SpatialGrid(p["x_min"], p["x_max"], p["n_points"], p["boundary"])
 
 
 def _build_potential(p, grid, params):
@@ -216,18 +220,16 @@ def _build_potential(p, grid, params):
 
 
 def _run_evolve(p):
-    params = PhysicalParams(p["hbar"], p["mass"])
-    grid = _build_grid(p)
-    wf0 = _build_packet(p, grid, params)
+    params, grid = _wave_setup(p)
+    wf0 = make_gaussian_packet(grid, p["x0"], p["sigma"], p["k0"], params)
     potential = _build_potential(p, grid, params)
     record = evolve_schrodinger(wf0, potential, params, p["dt"], p["n_steps"], p["snapshot_stride"])
     return {"evolution.csv": lambda path: evolution_to_csv(record, path)}
 
 
 def _run_decompose(p):
-    params = PhysicalParams(p["hbar"], p["mass"])
-    grid = _build_grid(p)
-    wf = _build_packet(p, grid, params)
+    params, grid = _wave_setup(p)
+    wf = make_gaussian_packet(grid, p["x0"], p["sigma"], p["k0"], params)
     polar = decompose(wf, params, p["node_epsilon"])
     qp = quantum_potential(polar, params)
     return {
@@ -237,10 +239,9 @@ def _run_decompose(p):
 
 
 def _run_universes(p):
-    params = PhysicalParams(p["hbar"], p["mass"])
-    grid = _build_grid(p)
+    params, grid = _wave_setup(p)
     ends = transport_interval(grid, (p["interval_a"], p["interval_b"]))
-    wf0 = _build_packet(p, grid, params)
+    wf0 = make_gaussian_packet(grid, p["x0"], p["sigma"], p["k0"], params)
     record = evolve_schrodinger(
         wf0, free_potential(grid), params, p["dt"], p["n_steps"], p["snapshot_stride"]
     )
@@ -260,8 +261,7 @@ def _run_universes(p):
 
 
 def _run_caustic(p):
-    params = PhysicalParams(p["hbar"], p["mass"])
-    grid = _build_grid(p)
+    params, grid = _wave_setup(p)
     if not (p["span"] < min(abs(grid.x_min), abs(grid.x_max))):
         raise ConfigError("parameter 'span' must fit inside the grid")
     # checked in Python floats, which overflow to inf with no numpy warning; RK4 sums 6 velocities
@@ -515,7 +515,7 @@ def _parse_set(entries) -> dict:
     for entry in entries or []:
         key, sep, raw = entry.partition("=")
         if not sep or not key:
-            raise ConfigError(f"--set expects key=value, got {entry!r}")
+            raise ConfigError(f"--set expects key=value, got {_shown(entry)}")
         try:
             overrides[key] = _read_json(raw, f"--set {key}")
         except json.JSONDecodeError:
@@ -547,7 +547,7 @@ def main(argv=None) -> int:
         declared = parameters.pop("experiment", None)
         if declared is not None and declared != args.experiment:
             raise ConfigError(
-                f"config declares experiment {declared!r} but {args.experiment!r} was requested")
+                f"config declares experiment {_shown(declared)} but {args.experiment!r} was requested")
         parameters.update(_parse_set(args.set))
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)

@@ -106,11 +106,11 @@ class ResidualReport:
         return self.scalar / self.scale if self.scale > 0.0 else self.scalar
 
 
-def dilate_mask(mask: np.ndarray, cells: int, periodic: bool) -> np.ndarray:
-    """Widen a boolean mask by `cells` grid points on each side, along the last axis."""
+def node_zone(mask: np.ndarray, grid: SpatialGrid) -> np.ndarray:
+    """The zone all node checks exclude: mask widened by MASK_DILATION points along the last axis."""
     out = mask.copy()
-    for _ in range(cells):
-        if periodic:
+    for _ in range(MASK_DILATION):
+        if grid.boundary == "periodic":
             out = out | np.roll(out, 1, axis=-1) | np.roll(out, -1, axis=-1)
         else:
             grown = out.copy()
@@ -245,7 +245,7 @@ def _blocked_report(record, polars, terms):
         window = slice(lo, hi + 2)
         nodes = polars.node_mask[window]
         residual, rate = terms(polars.R[window], polars.phi[window], nodes)
-        masked = dilate_mask(nodes[:-2] | nodes[1:-1] | nodes[2:], MASK_DILATION, periodic)
+        masked = node_zone(nodes[:-2] | nodes[1:-1] | nodes[2:], grid)
         if not periodic:
             masked[:, :MASK_DILATION] = True
             masked[:, -MASK_DILATION:] = True
@@ -295,11 +295,11 @@ def hamilton_jacobi_residual(
 
     The last term is the quantum potential contribution; with it the phase
     obeys a classical-looking evolution law, which is the second half of the
-    decomposition identity.
+    decomposition identity. V must be the potential the record evolved in.
     """
     grid = record.grid
-    if V.grid != grid:
-        raise DomainError("potential grid does not match the record's grid")
+    if V.grid != grid or not np.array_equal(V.values, record.potential.values):
+        raise DomainError("the potential is not the one the record evolved in")
     polars, dt = _polar_stack(record, params, node_epsilon)
     period = 2.0 * np.pi * params.hbar
 

@@ -29,6 +29,12 @@ def _check_theta(theta: float) -> float:
     return theta
 
 
+def _cos(theta: float) -> float:
+    """cos(theta) for theta in [0, pi]: exactly 0.0 at pi/2, where math.cos gives 6.1e-17."""
+    theta = _check_theta(theta)
+    return 0.0 if theta == 0.5 * math.pi else math.cos(theta)  # exact +-1.0 at 0 and pi
+
+
 @dataclass(frozen=True)
 class Direction:
     """Measurement axis at polar angle theta; the azimuth is fixed to zero."""
@@ -134,10 +140,7 @@ def four_world_split(theta: float) -> tuple[float, float, float, float]:
     half-weights at theta = 0 and pi are exact; relabeling symmetry demands
     nothing less at those angles.
     """
-    theta = _check_theta(theta)
-    if theta == 0.5 * math.pi:
-        return (0.25, 0.25, 0.25, 0.25)
-    c = math.cos(theta)  # exact +-1.0 at theta = 0 and pi
+    c = _cos(theta)
     same = (1.0 - c) / 4.0
     opposite = (1.0 + c) / 4.0
     return (same, opposite, opposite, same)
@@ -190,10 +193,7 @@ def aligned_probability(theta: float) -> float:
 
     p = cos^2(theta/2), with q = sin^2(theta/2) its exact complement.
     """
-    theta = _check_theta(theta)
-    if theta == 0.5 * math.pi:
-        return 0.5
-    return (1.0 + math.cos(theta)) / 2.0
+    return (1.0 + _cos(theta)) / 2.0
 
 
 def correlation(theta: float) -> float:
@@ -201,10 +201,7 @@ def correlation(theta: float) -> float:
 
     The four-world weights give sin^2(theta/2) - cos^2(theta/2) = -cos(theta).
     """
-    theta = _check_theta(theta)
-    if theta == 0.5 * math.pi:
-        return 0.0
-    return -math.cos(theta)
+    return 0.0 - _cos(theta)  # -cos bit for bit, but +0.0 at pi/2
 
 
 def _fold_angle(delta: float) -> float:

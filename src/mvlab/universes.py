@@ -34,10 +34,9 @@ from .fields import (
 )
 from .madelung import (
     DEFAULT_NODE_EPSILON,
-    MASK_DILATION,
     PolarField,
     decompose,  # noqa: F401  unused here; bench/child.py rebinds it by name to count calls
-    dilate_mask,
+    node_zone,
     phase_gradient,
     record_polars,
 )
@@ -101,20 +100,15 @@ class ClassicalEnsembleRecord:
 
 
 def velocity_field(polar: PolarField, params: PhysicalParams) -> np.ndarray:
-    """v_j = (grad phi)_j / m, NaN within MASK_DILATION cells of a node (the freeze zone)."""
+    """v_j = (grad phi)_j / m, NaN on madelung.node_zone (where trajectories freeze)."""
     v = phase_gradient(polar.phi, polar.grid, params.hbar) / params.mass
-    bad = dilate_mask(polar.node_mask, MASK_DILATION, polar.grid.boundary == "periodic")
-    return np.where(bad, np.nan, v)
+    return np.where(node_zone(polar.node_mask, polar.grid), np.nan, v)
 
 
-def _zone_lookup(grid: SpatialGrid, zone: np.ndarray):
-    """in_zone(offset): whether either end of the grid cell at grid_offset(grid, pos) lies in zone."""
+def _in_zone(grid: SpatialGrid, zone: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """Whether either end of the grid cell at each offset (grid_offset of a position) lies in zone."""
     either_end = zone | np.append(zone[1:], zone[0] if grid.boundary == "periodic" else zone[-1])
-
-    def in_zone(offset):
-        return either_end[np.clip(np.floor(offset / grid.dx).astype(int), 0, grid.n_points - 1)]
-
-    return in_zone
+    return either_end[np.clip(np.floor(offset / grid.dx).astype(int), 0, grid.n_points - 1)]
 
 
 def _reals(values) -> np.ndarray | None:
@@ -175,7 +169,7 @@ def integrate_universes(
     rows = flows()
     v1, zone1 = next(rows)
     offset = grid_offset(grid, x)  # each position is wrapped once, for its zone check and next stage
-    if np.any(_zone_lookup(grid, zone1)(offset)):
+    if np.any(_in_zone(grid, zone1, offset)):
         raise DomainError("initial positions must avoid node neighborhoods of the first snapshot")
 
     times = record.times
@@ -188,7 +182,6 @@ def integrate_universes(
         v0, zone0 = v1, zone1
         v1, zone1 = next(rows)
         interp = interpolator(grid, (v0, v1))
-        in_zone = _zone_lookup(grid, zone0 | zone1)
         h = t1 - t0
 
         def vel(pos, t, offset=None):
@@ -199,7 +192,7 @@ def integrate_universes(
         live = np.isnan(stopped_at)
         x = np.where(live, _rk4(vel, x, t0, h, vel(x, t0, offset)), x)
         offset = grid_offset(grid, x)
-        stopped_at[live & in_zone(offset)] = t0 + h
+        stopped_at[live & _in_zone(grid, zone0 | zone1, offset)] = t0 + h
         positions[s + 1] = x
 
     return TrajectoryEnsemble(times.copy(), positions, "bohmian", stopped_at)
@@ -277,8 +270,7 @@ def _density_cdf(polar: PolarField):
     grid = polar.grid
     if polar.R.ndim != 1:
         raise DomainError("the density CDF needs one snapshot, not a (T, n) stack: pass polar[0]")
-    zone = dilate_mask(polar.node_mask, MASK_DILATION, grid.boundary == "periodic")
-    masses = np.where(zone, 0.0, polar.R**2) * grid.dx
+    masses = np.where(node_zone(polar.node_mask, grid), 0.0, polar.R**2) * grid.dx
     total = masses.sum()
     if total <= 0.0:
         raise DomainError("density is zero everywhere off nodes")

@@ -6,7 +6,8 @@ for how they are combined: branch_correlation (the spin branches),
 per_snapshot_residual_pair (the residual pair evaluated snapshot by snapshot),
 per_snapshot_universes (the trajectory integration, likewise) and
 per_step_classical (the classical RK4 on separate x and v arrays). csv_bytes
-is the CSV format written out one field at a time.
+is the CSV format written out one field at a time, and loop_node_zone the
+node zone built one point at a time.
 """
 
 import math
@@ -111,6 +112,23 @@ def branch_correlation(theta: float) -> float:
     )
 
 
+def loop_node_zone(mask, grid):
+    """madelung.node_zone point by point: a point is in the zone when a node lies within
+    MASK_DILATION points of it, counted around a periodic grid and up to a dirichlet end."""
+    from mvlab.madelung import MASK_DILATION
+
+    n = grid.n_points
+    zone = np.zeros_like(mask, dtype=bool)
+    for row in np.ndindex(mask.shape[:-1]):
+        for j in range(n):
+            for k in range(j - MASK_DILATION, j + MASK_DILATION + 1):
+                if grid.boundary == "periodic":
+                    zone[row + (j,)] |= mask[row + (k % n,)]
+                elif 0 <= k < n:
+                    zone[row + (j,)] |= mask[row + (k,)]
+    return zone
+
+
 def per_snapshot_residual_pair(record, V, params, node_epsilon):
     """The continuity and Hamilton-Jacobi reports, one snapshot triple at a time.
 
@@ -120,7 +138,7 @@ def per_snapshot_residual_pair(record, V, params, node_epsilon):
     tuples, continuity first.
     """
     from mvlab.fields import gradient, laplacian
-    from mvlab.madelung import MASK_DILATION, decompose, dilate_mask, phase_gradient
+    from mvlab.madelung import MASK_DILATION, decompose, node_zone, phase_gradient
 
     grid = record.grid
     hbar, mass = params.hbar, params.mass
@@ -150,7 +168,7 @@ def per_snapshot_residual_pair(record, V, params, node_epsilon):
     for pointwise in (continuity, hamilton_jacobi):
         rows, masks = [], []
         for prev_p, mid, next_p in zip(polars, polars[1:], polars[2:]):
-            mask = dilate_mask(prev_p.node_mask | mid.node_mask | next_p.node_mask, MASK_DILATION, periodic)
+            mask = node_zone(prev_p.node_mask | mid.node_mask | next_p.node_mask, grid)
             if not periodic:
                 mask[:MASK_DILATION] = True
                 mask[-MASK_DILATION:] = True
@@ -178,7 +196,7 @@ def whole_stack_residual_pair(record, V, params, node_epsilon):
     (times, field, mask, scalar, scale) tuples, continuity first.
     """
     from mvlab.fields import gradient, laplacian
-    from mvlab.madelung import MASK_DILATION, dilate_mask, phase_gradient, record_polars
+    from mvlab.madelung import MASK_DILATION, node_zone, phase_gradient, record_polars
 
     grid = record.grid
     hbar, mass = params.hbar, params.mass
@@ -193,7 +211,7 @@ def whole_stack_residual_pair(record, V, params, node_epsilon):
         return delta - period * np.round(delta / period)
 
     def report(residual, rate):
-        mask = dilate_mask(nodes[:-2] | nodes[1:-1] | nodes[2:], MASK_DILATION, periodic)
+        mask = node_zone(nodes[:-2] | nodes[1:-1] | nodes[2:], grid)
         if not periodic:
             mask[:, :MASK_DILATION] = True
             mask[:, -MASK_DILATION:] = True

@@ -562,6 +562,25 @@ class TestFailureModes:
         assert (proc.returncode, proc.stderr) == (EXIT_CONFIG, err)
         assert not out.exists()
 
+    # a rejected value is shown cut to 200 characters and "...": one short line, however long it is
+    @pytest.mark.parametrize("experiment, override, named", [
+        ("evolve", "boundary=" + json.dumps(list(range(10_000))), "parameter 'boundary' must be a string"),
+        ("evolve", "x0=" + "x" * 10_000, "parameter 'x0' takes numbers"),
+        ("bell", "angles=" + json.dumps([0.0] * 10_000), "parameter 'angles' out of range"),
+        ("bell", "k" * 10_000 + "=1", "unknown parameter 'kkk"),
+    ], ids=["coerce-str", "number", "out-of-range", "unknown-key"])
+    def test_long_rejected_value_exits_2_with_one_short_line(self, tmp_path, capsys, experiment, override, named):
+        out = tmp_path / "out"
+        args = [experiment, "--config", str(CONFIGS / f"{experiment}.json"), "--out-dir", str(out), "--set", override]
+        assert run_cli(*args) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}") and len(err.splitlines()) == 1 and len(err) < 400, err
+        assert "..." in err
+        proc = subprocess.run([sys.executable, "-m", "mvlab.cli", *args], env=fresh_env(), capture_output=True,
+                              text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (EXIT_CONFIG, err)
+        assert not out.exists()
+
     def test_malformed_set_entry(self, tmp_path, capsys):
         status = run_cli("spin_split", "--config", str(CONFIGS / "spin_split.json"),
                          "--set", "thetapi", "--out-dir", str(tmp_path / "o"))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from oracles import branch_correlation
 
@@ -227,6 +229,21 @@ class TestProbabilitiesAndCorrelations:
         assert correlation(math.pi / 2) == 0.0
         assert abs(correlation(math.pi / 4) + math.sqrt(2.0) / 2.0) < 1e-15
         assert correlation(math.pi) == 1.0
+
+    @given(st.floats(0.0, math.pi))
+    @example(0.0)
+    @example(0.5 * math.pi)
+    @example(math.pi)
+    def test_closed_forms_keep_their_bits(self, theta):
+        # the reference: each function's closed form, each with its own exact case at pi/2
+        c = math.cos(theta)
+        exact = theta == 0.5 * math.pi
+        split = (0.25,) * 4 if exact else ((1.0 - c) / 4.0, (1.0 + c) / 4.0, (1.0 + c) / 4.0, (1.0 - c) / 4.0)
+        assert four_world_split(theta) == split
+        assert aligned_probability(theta) == (0.5 if exact else (1.0 + c) / 2.0)
+        e = correlation(theta)
+        assert e == (0.0 if exact else -c)
+        assert math.copysign(1.0, e) == math.copysign(1.0, 0.0 if exact else -c)
 
     @pytest.mark.parametrize("i", range(32))
     def test_correlation_two_code_paths(self, i):

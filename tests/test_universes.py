@@ -11,6 +11,7 @@ from oracles import (
     discrete_harmonic_ground_state,
     free_gaussian_trajectory,
     free_gaussian_velocity,
+    loop_node_zone,
     per_snapshot_universes,
     per_step_classical,
 )
@@ -27,7 +28,7 @@ from mvlab.fields import (
     make_plane_wave,
     normalize,
 )
-from mvlab.madelung import MASK_DILATION, decompose, dilate_mask, record_polars
+from mvlab.madelung import decompose, record_polars
 from mvlab.universes import (
     VELOCITY_BLOCK,
     TrajectoryEnsemble,
@@ -124,8 +125,7 @@ class TestVelocityField:
 
         polar = decompose(normalize(GridWavefunction(g, plus.amplitudes - minus.amplitudes)), PARAMS)
         assert polar.node_mask.any()
-        zone = dilate_mask(polar.node_mask, MASK_DILATION, boundary == "periodic")
-        assert np.array_equal(np.isnan(velocity_field(polar, PARAMS)), zone)
+        assert np.array_equal(np.isnan(velocity_field(polar, PARAMS)), loop_node_zone(polar.node_mask, g))
 
 
 class TestIntegrateUniverses:
