@@ -9,7 +9,9 @@ That yields Romanovsky's recurrence mu_{m+1} = pq (N m mu_{m-1} + d mu_m/dp)
 for the central moments of r, so moments up to order m cost O(m^2)
 polynomial operations whatever N is; floats appear only at the boundary.
 The frequency f = r/N then has mean exactly p and central moments falling
-at least as fast as 1/N. branch_tree_to_csv streams all 2^N branches.
+at least as fast as 1/N. branch_tree_to_csv streams all 2^N branches,
+formatting each distinct weight and count of a block once: an enumerated
+tree holds only N + 1 distinct weights.
 """
 
 from __future__ import annotations
@@ -295,15 +297,21 @@ class ConvergenceRow:
 
 
 def convergence_demo(N_values, p: float, seed: int) -> list[ConvergenceRow]:
-    """Sampled |f - p| against the exact 3*sqrt(pq/N) envelope, per N."""
+    """Sampled |f - p| against the exact 3*sqrt(pq/N) envelope, per N.
+
+    One Philox stream of max(N) draws serves every N: the observer's first n
+    draws are bitwise sample_observer_branch(n, p, seed)'s, since random(n)
+    is a prefix of random(N) for one seed.
+    """
     ns = [int(n) for n in N_values]
     if len(ns) < 1 or ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise DomainError("N_values must be an increasing sequence of integers >= 1")
     p = _checked(ns[0], p)  # the Ns increase, so the first is the least
     q = 1.0 - p
+    draws = _observer_draws(ns[-1], seed)
     rows = []
     for n in ns:
-        f = np.count_nonzero(_observer_draws(n, seed) < p) / n
+        f = np.count_nonzero(draws[:n] < p) / n
         variance = p * q / n
         rows.append(ConvergenceRow(n, f, abs(f - p), 3.0 * math.sqrt(variance), variance))
     return rows
@@ -322,14 +330,22 @@ def branch_tree_to_csv(tree: BranchTree, path) -> None:
 
     Blocks hold 2^low rows, the largest power of two within _CSV_CHUNK_ROWS,
     so each block's bit strings are one shared low-bit table plus a suffix.
+    A block formats each distinct value once: r from the strings of 0..N, a
+    weight as repr of each distinct float64 bit pattern (an enumerated tree
+    has N + 1). Keying on the bits keeps -0.0 apart from 0.0, so the bytes
+    are those of one repr per row for any tree.
     """
     low = min(tree.N, _CSV_CHUNK_ROWS.bit_length() - 1)
     low_bits, suffixes, size = _bit_strings(low), _bit_strings(tree.N - low), 2**low
-    counts = tree.aligned_counts()
+    counts, r_texts = tree.aligned_counts(), [str(r) for r in range(tree.N + 1)]
+    weight_bits = tree.weights.view(np.int64)
 
     def block(b):
         rows = slice(b * size, (b + 1) * size)
-        return [s + suffixes[b] for s in low_bits], counts[rows], tree.weights[rows]
+        keys, which = np.unique(weight_bits[rows], return_inverse=True)
+        w_texts = list(map(repr, keys.view(np.float64).tolist()))
+        r_column = list(map(r_texts.__getitem__, counts[rows].tolist()))
+        return [s + suffixes[b] for s in low_bits], r_column, list(map(w_texts.__getitem__, which.tolist()))
 
     write_csv(path, "sequence_bits,r,weight", LazyBlocks(len(suffixes), block))
 

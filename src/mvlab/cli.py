@@ -50,7 +50,7 @@ from .branchstats import (
     enumerate_branch_tree,
     expected_frequency,
 )
-from .errors import CapacityError, DomainError, GuardError, MvLabError, ProtocolError
+from .errors import CapacityError, DomainError, GuardError, MvLabError, ProtocolError, _shown
 from .evolution import MAX_DEFAULT_SNAPSHOTS, evolution_to_csv, evolve_schrodinger
 from .fields import (
     PhysicalParams,
@@ -135,12 +135,6 @@ def _read_json(text: str, source: str):
         return json.loads(text, parse_int=parse_int)
     except RecursionError:
         raise ConfigError(f"{source} nests JSON past the parser's recursion limit") from None
-
-
-def _shown(value) -> str:
-    """repr(value) for an error line, cut to 200 characters plus '...': the line stays short."""
-    text = repr(value)
-    return text if len(text) <= 200 else text[:200] + "..."
 
 
 def _number(param: Param, value, integer: bool):
@@ -454,7 +448,7 @@ def _versions() -> dict:
 def run(experiment: str, parameters: dict, out_dir=".", quiet: bool = False) -> int:
     """Execute one experiment on its raw parameters; returns the process exit status."""
     if experiment not in EXPERIMENTS:
-        print(f"error: unknown experiment {experiment!r}", file=sys.stderr)
+        print(f"error: unknown experiment {_shown(experiment)}", file=sys.stderr)
         return EXIT_CONFIG
     entry = EXPERIMENTS[experiment]
     started = time.perf_counter()
@@ -538,7 +532,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.experiment not in EXPERIMENTS:
-        print(f"error: unknown experiment {args.experiment!r}", file=sys.stderr)
+        print(f"error: unknown experiment {_shown(args.experiment)}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         parameters = _read_json(Path(args.config).read_text(encoding="utf-8"), "config")

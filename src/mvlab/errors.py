@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for echoing a value in a message."""
+
+
+def _shown(value) -> str:
+    """repr(value) for an error line, cut to 200 characters plus '...': the line stays short."""
+    text = repr(value)
+    return text if len(text) <= 200 else text[:200] + "..."
 
 
 class MvLabError(Exception):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CommensurabilityError, DomainError, ResolutionError
+from .errors import CommensurabilityError, DomainError, ResolutionError, _shown
 
 BOUNDARIES = ("periodic", "dirichlet")
 
@@ -64,7 +64,7 @@ class SpatialGrid:
         if self.n_points < 8:
             raise DomainError(f"n_points must be >= 8, got {self.n_points}")
         if self.boundary not in BOUNDARIES:
-            raise DomainError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
+            raise DomainError(f"boundary must be one of {BOUNDARIES}, got {_shown(self.boundary)}")
 
     @property
     def dx(self) -> float:
@@ -79,17 +79,23 @@ class SpatialGrid:
         return self.x_min + self.dx * np.arange(self.n_points)
 
 
+_FINITE_BLOCK_BYTES = 1 << 16  # data per finiteness check in _freeze: its bool temporary stays small
+
+
 def _freeze(record, name: str, array: np.ndarray, shape: tuple, finite: bool = True) -> np.ndarray:
     """Set the converted array, read-only, as field `name` of a frozen record, and return it.
 
     Refuses a shape other than `shape` and, unless the array is a bool mask
     or `finite` is false (a NaN-means-never flag array), any NaN or Inf.
-    The finiteness check is its one pass over the data; it never copies.
+    The finiteness check is its one pass over the data, in blocks of leading
+    rows of about _FINITE_BLOCK_BYTES (one row at least); it never copies.
     """
     if array.shape != shape:
         raise DomainError(f"{name} must have shape {shape}, got {array.shape}")
-    if finite and array.dtype != bool and not np.isfinite(array).all():
-        raise DomainError(f"NaN or Inf in {name}")
+    if finite and array.dtype != bool:
+        step = max(1, _FINITE_BLOCK_BYTES // max(1, array[:1].nbytes))
+        if not all(np.isfinite(array[i : i + step]).all() for i in range(0, len(array), step)):
+            raise DomainError(f"NaN or Inf in {name}")
     array.flags.writeable = False
     object.__setattr__(record, name, array)
     return array
@@ -268,7 +274,8 @@ class LazyBlocks:
 
 
 # fields per block range below which a forked worker costs more than it saves: at about
-# 0.5 us per field a range takes 30 ms or more; a fork and reap of a 60 MiB process, 2-4 ms
+# 0.5 us per field (measured on float repr fields) a range takes 30 ms or more; a fork and
+# reap of a 60 MiB process, 2-4 ms
 MIN_FIELDS_PER_RANGE = 1 << 16
 _ERROR_BYTES = 4096  # a worker's error message, at most; fits an empty pipe without blocking
 

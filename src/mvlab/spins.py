@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ProtocolError
+from .errors import DomainError, ProtocolError, _shown
 from .fields import write_json
 
 BASIS_ORDER = (("up", "up"), ("up", "down"), ("down", "up"), ("down", "down"))
@@ -78,7 +78,7 @@ class PointerLabel:
         if self.apparatus_id not in (1, 2):
             raise DomainError(f"apparatus_id must be 1 or 2, got {self.apparatus_id}")
         if self.reading not in READINGS:
-            raise DomainError(f"reading must be one of {READINGS}, got {self.reading!r}")
+            raise DomainError(f"reading must be one of {READINGS}, got {_shown(self.reading)}")
 
 
 def unset_pointers() -> tuple[PointerLabel, PointerLabel]:

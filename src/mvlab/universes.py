@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _shown
 from .fields import (
     LazyBlocks,
     PhysicalParams,
@@ -74,7 +74,7 @@ class TrajectoryEnsemble:
         positions = np.asarray(self.positions, dtype=np.float64)
         _freeze(self, "positions", positions, times.shape + positions.shape[-1:])  # (T, M)
         if self.kind not in KINDS:
-            raise DomainError(f"kind must be one of {tuple(KINDS)}, got {self.kind!r}")
+            raise DomainError(f"kind must be one of {tuple(KINDS)}, got {_shown(self.kind)}")
         stops = np.asarray(self.stopped_at, dtype=np.float64)
         _freeze(self, "stopped_at", stops, positions.shape[1:], finite=False)
 

@@ -6,8 +6,10 @@ for how they are combined: branch_correlation (the spin branches),
 per_snapshot_residual_pair (the residual pair evaluated snapshot by snapshot),
 per_snapshot_universes (the trajectory integration, likewise) and
 per_step_classical (the classical RK4 on separate x and v arrays). csv_bytes
-is the CSV format written out one field at a time, and loop_node_zone the
-node zone built one point at a time.
+is the CSV format written out one field at a time, tree_csv_bytes the branch
+tree's CSV one row at a time, per_n_convergence the sampled convergence rows
+drawn from a fresh Philox stream per N, and loop_node_zone the node zone built
+one point at a time.
 """
 
 import math
@@ -356,3 +358,23 @@ def csv_bytes(header, blocks) -> bytes:
     for block in blocks:
         rows += [",".join(field(column, i) for column in block) for i in range(len(block[0]))]
     return ("\n".join(rows) + "\n").encode()
+
+
+def tree_csv_bytes(tree) -> bytes:
+    """branch_tree_to_csv's bytes, one row and one repr at a time: bit k of the row index is
+    the (k+1)-th outcome, r its popcount."""
+    N, weights = tree.N, tree.weights.tolist()
+    return ("sequence_bits,r,weight\n" + "".join(
+        f"{format(k, f'0{N}b')[::-1]},{bin(k).count('1')},{w!r}\n" for k, w in enumerate(weights)
+    )).encode()
+
+
+def per_n_convergence(ns, p: float, seed: int) -> list[tuple]:
+    """convergence_demo's rows as (N, f, abs_err, envelope, variance), each N from its own
+    Philox stream keyed by the seed."""
+    rows = []
+    for n in ns:
+        f = np.count_nonzero(np.random.Generator(np.random.Philox(seed)).random(n) < p) / n
+        variance = p * (1.0 - p) / n
+        rows.append((n, f, abs(f - p), 3.0 * math.sqrt(variance), variance))
+    return rows

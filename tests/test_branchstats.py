@@ -1,15 +1,20 @@
 import math
+import os
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import binomial_central_moment
+from oracles import binomial_central_moment, per_n_convergence, tree_csv_bytes
 
-from mvlab import branchstats
+from mvlab import branchstats, fields
 from mvlab.branchstats import (
     BranchSequence,
+    BranchTree,
     branch_tree_to_csv,
     central_moment,
     central_moment_exact,
@@ -283,6 +288,14 @@ class TestConvergenceDemo:
                 sample_observer_branch(n, p, COMMITTED_SEED)[1] for n in ns
             ]
 
+    # one stream drawn at the largest N serves every N: each row is bitwise the per-N draw's
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), p=st.floats(0.0, 1.0),
+           ns=st.lists(st.integers(1, 5000), min_size=1, max_size=6, unique=True).map(sorted))
+    def test_equals_a_fresh_stream_per_n(self, seed, p, ns):
+        rows = convergence_demo(ns, p, seed)
+        assert [(r.N, r.f, r.abs_err, r.envelope, r.variance) for r in rows] == per_n_convergence(ns, p, seed)
+
     def test_rejects_empty_branch(self):
         with pytest.raises(DomainError):
             convergence_demo([0, 10], 0.5, COMMITTED_SEED)
@@ -292,6 +305,23 @@ class TestConvergenceDemo:
             convergence_demo([10], 0.5, -1)
         with pytest.raises(DomainError):
             sample_observer_branch(10, 0.5, -1)
+
+
+@st.composite
+def any_trees(draw):
+    """A BranchTree of N = 1..14 with arbitrary weights summing to one: a few masses, each
+    repeated, over a background drawn from a palette of tiny values that holds 0.0 and -0.0."""
+    N = draw(st.integers(1, 14))
+    size = 2**N
+    tiny = st.one_of(st.sampled_from([5e-324, -5e-324, 2.5e-310, 1e-300]), st.floats(-1e-17, 1e-17))
+    palette = [0.0, -0.0] + draw(st.lists(tiny, max_size=4))
+    masses = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=min(4, size))))
+    copies = draw(st.integers(1, min(4, size // len(masses))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = np.array(palette)[rng.integers(0, len(palette), size)]
+    spots = rng.choice(size, copies * len(masses), replace=False)
+    weights[spots] = np.tile(masses / (masses.sum() * copies), copies)
+    return BranchTree(N, 0.5, weights)
 
 
 class TestCsvExports:
@@ -316,17 +346,30 @@ class TestCsvExports:
         )
         assert path.read_bytes() == expected.encode()
 
-    @pytest.mark.parametrize("N", [1, 5, 13, 17])
+    @pytest.mark.parametrize("N", [1, 5, 12, 13, 16, 17])
     def test_branch_tree_csv_matches_format_reference(self, tmp_path, N):
-        # N = 13 and N = 17 span several blocks at the default 2^12 rows
-        tree = enumerate_branch_tree(N, 0.3)
-        path = tmp_path / "tree.csv"
-        branch_tree_to_csv(tree, path)
-        rows = zip(tree.aligned_counts().tolist(), tree.weights.tolist())
-        expected = "sequence_bits,r,weight\n" + "".join(
-            f"{format(k, f'0{N}b')[::-1]},{r},{w!r}\n" for k, (r, w) in enumerate(rows)
-        )
-        assert path.read_bytes() == expected.encode()
+        # N = 12 is one full block at the default 2^12 rows, N >= 13 spans several and N >= 16
+        # holds the 2^16 fields a range needs before write_csv forks a worker
+        for p in (0.3, 0.5, 1.0):  # p = 1 gives exact zeros beside the one weight 1.0
+            tree = enumerate_branch_tree(N, p)
+            path = tmp_path / "tree.csv"
+            branch_tree_to_csv(tree, path)
+            assert path.read_bytes() == tree_csv_bytes(tree)
+
+    # any tree, not only an enumerated one: repeated weights, 0.0 beside -0.0, subnormals and
+    # negatives; each weight is keyed on its bits, so -0.0 and 0.0 keep their own text
+    @pytest.mark.parametrize("forked", [False, True])
+    @settings(max_examples=40, deadline=None)
+    @given(tree=any_trees())
+    def test_any_tree_csv_matches_format_reference(self, forked, tree):
+        with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as mp:
+            if forked:  # a tree of two or more 8-row blocks is split over up to three processes
+                mp.setattr(branchstats, "_CSV_CHUNK_ROWS", 8)
+                mp.setattr(fields, "MIN_FIELDS_PER_RANGE", 1)
+                mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+            path = Path(out, "tree.csv")
+            branch_tree_to_csv(tree, path)
+            assert path.read_bytes() == tree_csv_bytes(tree)
 
     def test_convergence_csv(self, tmp_path):
         rows = convergence_demo([100], 0.5, COMMITTED_SEED)

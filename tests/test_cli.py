@@ -26,7 +26,9 @@ from mvlab.cli import (
     _sha256,
     _validate,
     main,
+    run,
 )
+from mvlab.errors import DomainError
 from mvlab.evolution import evolve_schrodinger
 from mvlab.fields import (
     PhysicalParams,
@@ -35,6 +37,8 @@ from mvlab.fields import (
     make_gaussian_packet,
     write_csv,
 )
+from mvlab.spins import PointerLabel
+from mvlab.universes import TrajectoryEnsemble
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -562,13 +566,15 @@ class TestFailureModes:
         assert (proc.returncode, proc.stderr) == (EXIT_CONFIG, err)
         assert not out.exists()
 
-    # a rejected value is shown cut to 200 characters and "...": one short line, however long it is
+    # a rejected value is shown cut to 200 characters and "...", by the CLI's validators and the
+    # library's refusals alike: one short line, however long it is
     @pytest.mark.parametrize("experiment, override, named", [
         ("evolve", "boundary=" + json.dumps(list(range(10_000))), "parameter 'boundary' must be a string"),
         ("evolve", "x0=" + "x" * 10_000, "parameter 'x0' takes numbers"),
         ("bell", "angles=" + json.dumps([0.0] * 10_000), "parameter 'angles' out of range"),
         ("bell", "k" * 10_000 + "=1", "unknown parameter 'kkk"),
-    ], ids=["coerce-str", "number", "out-of-range", "unknown-key"])
+        ("evolve", "boundary=" + "a" * 50_000, "boundary must be one of"),  # refused by SpatialGrid
+    ], ids=["coerce-str", "number", "out-of-range", "unknown-key", "library-boundary"])
     def test_long_rejected_value_exits_2_with_one_short_line(self, tmp_path, capsys, experiment, override, named):
         out = tmp_path / "out"
         args = [experiment, "--config", str(CONFIGS / f"{experiment}.json"), "--out-dir", str(out), "--set", override]
@@ -580,6 +586,30 @@ class TestFailureModes:
                               text=True, timeout=120)
         assert (proc.returncode, proc.stderr) == (EXIT_CONFIG, err)
         assert not out.exists()
+
+    # an unknown experiment is shown through the same cut, by main and by run
+    def test_long_unknown_experiment_exits_2_with_one_short_line(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = ["a" * 50_000, "--config", str(CONFIGS / "evolve.json"), "--out-dir", str(out)]
+        assert run_cli(*args) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown experiment 'aaa") and err.endswith("...\n") and len(err) < 400, err
+        proc = subprocess.run([sys.executable, "-m", "mvlab.cli", *args], env=fresh_env(), capture_output=True,
+                              text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (EXIT_CONFIG, err)
+        assert run(args[0], {}, out_dir=out) == EXIT_CONFIG
+        assert capsys.readouterr().err == err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("build", [
+        lambda s: SpatialGrid(-1.0, 1.0, 8, s),
+        lambda s: PointerLabel(1, s),
+        lambda s: TrajectoryEnsemble(np.arange(2.0), np.zeros((2, 1)), s, np.full(1, np.nan)),
+    ], ids=["boundary", "reading", "kind"])
+    def test_library_message_cuts_a_long_string(self, build):
+        with pytest.raises(DomainError) as refused:
+            build("a" * 50_000)
+        assert str(refused.value).endswith("a...") and len(str(refused.value)) < 400
 
     def test_malformed_set_entry(self, tmp_path, capsys):
         status = run_cli("spin_split", "--config", str(CONFIGS / "spin_split.json"),

@@ -18,6 +18,7 @@ from mvlab.fields import (
     PhysicalParams,
     PotentialField,
     SpatialGrid,
+    _freeze,
     free_potential,
     gradient,
     harmonic_potential,
@@ -230,6 +231,20 @@ class TestFreeze:
             EvolutionRecord(free_potential(g), times, np.ones((3, 16)) / 4.0)
         with pytest.raises(DomainError, match="NaN or Inf in weights"):
             BranchTree(1, 0.5, [value, 0.5])
+
+    # the check runs over blocks of leading rows, one row at least: a bad value in the very
+    # last entry is still found, whether a block holds many rows, a few or one
+    @pytest.mark.parametrize("shape, dtype", [((501, 1001), np.float64), ((40, 2048), np.complex128),
+                                              ((3, 20_000), np.float64), ((100_001,), np.float64)],
+                             ids=["classical-run", "complex-rows", "row-past-a-block", "one-axis"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_a_bad_value_in_the_last_row_is_refused(self, shape, dtype, value):
+        array = np.zeros(shape, dtype)
+        holder = type("Holder", (), {})()
+        _freeze(holder, "data", array.copy(), shape)  # all finite: kept
+        array.reshape(-1)[-1] = value
+        with pytest.raises(DomainError, match="NaN or Inf in data"):
+            _freeze(holder, "data", array, shape)
 
 
 class TestDerivatives:

@@ -285,8 +285,8 @@ class TestClassicalFlow:
 
     def test_peak_memory_is_the_two_recorded_arrays(self):
         # the record keeps the (T, M) velocities it is built from, as it keeps positions,
-        # so a run peaks at the two arrays the CLI's caustic size rule counts; the
-        # finiteness check's bool temporary adds an eighth of one
+        # so a run peaks at the two arrays the CLI's caustic size rule counts; _freeze checks
+        # finiteness in blocks of rows, so no bool temporary of a whole array adds to them
         g = SpatialGrid(-10.0, 10.0, 256, "dirichlet")
         x = np.linspace(-5.0, 5.0, 1001)
         tracemalloc.start()
@@ -297,7 +297,7 @@ class TestClassicalFlow:
             tracemalloc.stop()
         one = rec.velocities.nbytes
         assert rec.ensemble.positions.nbytes == one == 501 * 1001 * 8
-        assert peak < 2.25 * one
+        assert peak < 2 * one + (1 << 18)
 
 
 class TestCrossingCount:
