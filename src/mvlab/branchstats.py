@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .fields import LazyBlocks, _freeze, write_csv
+from .fields import LazyBlocks, _csv_text, _freeze, write_csv
 
 ENUMERATION_CAP = 20
 _EXACT_COMB_LIMIT = 400  # beyond this the binomial coefficient leaves float range
@@ -330,20 +330,20 @@ def branch_tree_to_csv(tree: BranchTree, path) -> None:
 
     Blocks hold 2^low rows, the largest power of two within _CSV_CHUNK_ROWS,
     so each block's bit strings are one shared low-bit table plus a suffix.
-    A block formats each distinct value once: r from the strings of 0..N, a
-    weight as repr of each distinct float64 bit pattern (an enumerated tree
-    has N + 1). Keying on the bits keeps -0.0 apart from 0.0, so the bytes
-    are those of one repr per row for any tree.
+    A block formats each distinct value once, through fields._csv_text: r
+    from the texts of 0..N, a weight from each distinct float64 bit pattern
+    (an enumerated tree has N + 1). Keying on the bits keeps -0.0 apart from
+    0.0, so the bytes are those of one repr per row for any tree.
     """
     low = min(tree.N, _CSV_CHUNK_ROWS.bit_length() - 1)
     low_bits, suffixes, size = _bit_strings(low), _bit_strings(tree.N - low), 2**low
-    counts, r_texts = tree.aligned_counts(), [str(r) for r in range(tree.N + 1)]
+    counts, r_texts = tree.aligned_counts(), _csv_text(np.arange(tree.N + 1))
     weight_bits = tree.weights.view(np.int64)
 
     def block(b):
         rows = slice(b * size, (b + 1) * size)
         keys, which = np.unique(weight_bits[rows], return_inverse=True)
-        w_texts = list(map(repr, keys.view(np.float64).tolist()))
+        w_texts = _csv_text(keys.view(np.float64))
         r_column = list(map(r_texts.__getitem__, counts[rows].tolist()))
         return [s + suffixes[b] for s in low_bits], r_column, list(map(w_texts.__getitem__, which.tolist()))
 

@@ -27,12 +27,11 @@ import numpy as np
 from .errors import DomainError, StabilityError
 from .fields import (
     GridWavefunction,
-    LazyBlocks,
     PhysicalParams,
     PotentialField,
     SpatialGrid,
     _freeze,
-    write_csv,
+    write_snapshot_csv,
 )
 
 MAX_DEFAULT_SNAPSHOTS = 512
@@ -85,6 +84,14 @@ def _auto_stride(n_steps: int) -> int:
     return next(stride for stride in range(target, n_steps + 1) if n_steps % stride == 0)
 
 
+def _check_steps(dt: float, n_steps: int) -> None:
+    """Refuse a step dt that is not positive or a negative n_steps: the one rule of every flow."""
+    if not (dt > 0.0):
+        raise DomainError(f"dt must be positive, got {dt}")
+    if n_steps < 0:
+        raise DomainError(f"n_steps must be nonnegative, got {n_steps}")
+
+
 def evolve_schrodinger(
     wf0: GridWavefunction,
     V: PotentialField,
@@ -103,10 +110,7 @@ def evolve_schrodinger(
     grid = wf0.grid
     if V.grid != grid:
         raise DomainError("wavefunction and potential live on different grids")
-    if not (dt > 0.0):
-        raise DomainError(f"dt must be positive, got {dt}")
-    if n_steps < 0:
-        raise DomainError(f"n_steps must be nonnegative, got {n_steps}")
+    _check_steps(dt, n_steps)
     v_max = float(np.max(np.abs(V.values)))
     if dt * v_max / params.hbar >= 0.5:
         raise StabilityError(
@@ -258,12 +262,9 @@ def _crank_nicolson_stepper(grid, V, params, dt):
 
 def evolution_to_csv(record: EvolutionRecord, path) -> None:
     """Write long-format columns t,x,re,im,R2 with LF line endings."""
-    n, times = record.grid.n_points, record.times.tolist()
-    x = list(map(repr, record.grid.points.tolist()))
 
-    def block(s):
+    def columns(s):
         psi = record.amplitudes[s]
-        return [repr(times[s])] * n, x, psi.real, psi.imag, np.abs(psi) ** 2
+        return psi.real, psi.imag, np.abs(psi) ** 2
 
-    write_csv(path, "t,x,re,im,R2", LazyBlocks(len(times), block))
-
+    write_snapshot_csv(path, "t,x,re,im,R2", record.times, record.grid.points, columns)

@@ -10,9 +10,9 @@ Conventions used throughout the package:
 * spatial derivatives are second-order centered differences along the last
   axis (one (n,) field or every row of a (T, n) stack), with wraparound on
   periodic grids and one-sided second-order stencils at dirichlet ends;
-* every CSV file of the package is written by write_csv, which prints
-  floats as repr of the float64, so they read back exactly, and formats a
-  large file's blocks on every core; every JSON file by write_json;
+* every CSV number is formatted here, as repr of its Python value, so floats
+  read back exactly; write_csv writes every CSV file (write_snapshot_csv each
+  per-snapshot table), a large one on every core; write_json every JSON file;
 * every array a record holds is frozen by _freeze, once the record has
   converted it, copying it or keeping it as its type documents.
 """
@@ -164,8 +164,7 @@ def make_gaussian_packet(
         raise ResolutionError(f"k0={k0} under-resolved: need |k0|*dx < pi, with dx = {grid.dx}")
     x = grid.points
     psi = np.exp(-((x - x0) ** 2) / (4.0 * sigma**2)) * np.exp(1j * k0 * x)
-    psi = psi / np.sqrt(np.sum(np.abs(psi) ** 2) * grid.dx)
-    return GridWavefunction(grid, psi)
+    return normalize(GridWavefunction(grid, psi))
 
 
 def make_plane_wave(grid: SpatialGrid, k: float, amplitude: float) -> GridWavefunction:
@@ -250,10 +249,11 @@ def interpolator(grid: SpatialGrid, values):
 
 
 def _csv_text(column):
+    """A numpy column's fields, repr of each Python value (a bool as 0 or 1); other columns as they are."""
     if isinstance(column, np.ndarray):
         if column.dtype == bool:
             column = column.astype(np.int8)
-        return map(repr, column.tolist())
+        return list(map(repr, column.tolist()))
     return column
 
 
@@ -385,6 +385,16 @@ def write_csv(path, header: str, blocks) -> None:
         for part in parts:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(part)
+
+
+def write_snapshot_csv(path, header: str, times, labels, columns: Callable) -> None:
+    """Write one block per recorded time s, a row times[s], label, *columns(s) for each label."""
+    t_texts, label_texts = _csv_text(times), _csv_text(labels)
+
+    def block(s):
+        return [t_texts[s]] * len(label_texts), label_texts, *columns(s)
+
+    write_csv(path, header, LazyBlocks(len(t_texts), block))
 
 
 def write_json(path, payload) -> None:

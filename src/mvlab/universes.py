@@ -10,19 +10,17 @@ steps x once per snapshot interval, classical_ensemble_evolve the stacked (x, v)
 integrate_universes reads madelung.record_polars, so each snapshot of a
 record is decomposed once, and derives the velocity VELOCITY_BLOCK snapshots
 at a time: a whole-stack velocity would hold another (T, n) array.
-trajectories_to_csv builds one block per recorded time, on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError, _shown
+from .evolution import EvolutionRecord, _check_steps
 from .fields import (
-    LazyBlocks,
     PhysicalParams,
     PotentialField,
     SpatialGrid,
@@ -30,7 +28,7 @@ from .fields import (
     gradient,
     grid_offset,
     interpolator,
-    write_csv,
+    write_snapshot_csv,
 )
 from .madelung import (
     DEFAULT_NODE_EPSILON,
@@ -40,9 +38,6 @@ from .madelung import (
     phase_gradient,
     record_polars,
 )
-
-if TYPE_CHECKING:
-    from .evolution import EvolutionRecord
 
 KINDS = {"bohmian": "frozen", "classical": "escaped"}  # each kind's word for a stopped trajectory
 
@@ -143,7 +138,7 @@ def _rk4(rate, y, t, h, k1):
 
 
 def integrate_universes(
-    record: "EvolutionRecord",
+    record: EvolutionRecord,
     initial_positions,
     params: PhysicalParams,
     node_epsilon: float = DEFAULT_NODE_EPSILON,
@@ -219,10 +214,7 @@ def classical_ensemble_evolve(
     v = _reals(initial_velocities)
     if v is None or v.shape != x.shape or not np.all(np.isfinite(v)):
         raise DomainError("initial velocities must be finite, one per initial position")
-    if not (dt > 0.0):
-        raise DomainError(f"dt must be positive, got {dt}")
-    if n_steps < 0:
-        raise DomainError(f"n_steps must be nonnegative, got {n_steps}")
+    _check_steps(dt, n_steps)
 
     force = interpolator(grid, -gradient(V.values, grid))
 
@@ -323,7 +315,7 @@ def transport_interval(grid: SpatialGrid, interval) -> np.ndarray:
 
 
 def density_transport_check(
-    record: "EvolutionRecord",
+    record: EvolutionRecord,
     ensemble: TrajectoryEnsemble,
     endpoints,
     params: PhysicalParams,
@@ -361,22 +353,17 @@ def trajectories_to_csv(ensemble: TrajectoryEnsemble, path) -> None:
     flags is the kind's word in KINDS from stopped_at on, else empty (a NaN
     stop time never fires).
     """
-    m, times = ensemble.n_trajectories, ensemble.times.tolist()
-    ids, kind, word = list(map(str, range(m))), [ensemble.kind] * m, KINDS[ensemble.kind]
+    kind, word = [ensemble.kind] * ensemble.n_trajectories, KINDS[ensemble.kind]
 
-    def block(s):
-        flags = np.where(ensemble.stopped_at <= times[s], word, "").tolist()
-        return [repr(times[s])] * m, ids, ensemble.positions[s], kind, flags
+    def columns(s):
+        flags = np.where(ensemble.stopped_at <= ensemble.times[s], word, "").tolist()
+        return ensemble.positions[s], kind, flags
 
-    write_csv(path, "t,trajectory_id,x,kind,flags", LazyBlocks(len(times), block))
+    write_snapshot_csv(path, "t,trajectory_id,x,kind,flags", ensemble.times, np.arange(len(kind)), columns)
 
 
 def classical_to_csv(record: ClassicalEnsembleRecord, path) -> None:
     """Write columns t,particle_id,x,v with LF line endings."""
-    ens, times = record.ensemble, record.ensemble.times.tolist()
-    ids = list(map(str, range(ens.n_trajectories)))
-
-    def block(s):
-        return [repr(times[s])] * len(ids), ids, ens.positions[s], record.velocities[s]
-
-    write_csv(path, "t,particle_id,x,v", LazyBlocks(len(times), block))
+    ens = record.ensemble
+    write_snapshot_csv(path, "t,particle_id,x,v", ens.times, np.arange(ens.n_trajectories),
+                       lambda s: (ens.positions[s], record.velocities[s]))

@@ -6,8 +6,10 @@ for how they are combined: branch_correlation (the spin branches),
 per_snapshot_residual_pair (the residual pair evaluated snapshot by snapshot),
 per_snapshot_universes (the trajectory integration, likewise) and
 per_step_classical (the classical RK4 on separate x and v arrays). csv_bytes
-is the CSV format written out one field at a time, tree_csv_bytes the branch
-tree's CSV one row at a time, per_n_convergence the sampled convergence rows
+is the CSV format written out one field at a time; tree_csv_bytes,
+evolution_csv_bytes, trajectories_csv_bytes and classical_csv_bytes are the
+branch tree's and the per-snapshot tables' CSVs one row at a time;
+per_n_convergence the sampled convergence rows
 drawn from a fresh Philox stream per N, and loop_node_zone the node zone built
 one point at a time.
 """
@@ -367,6 +369,41 @@ def tree_csv_bytes(tree) -> bytes:
     return ("sequence_bits,r,weight\n" + "".join(
         f"{format(k, f'0{N}b')[::-1]},{bin(k).count('1')},{w!r}\n" for k, w in enumerate(weights)
     )).encode()
+
+
+def evolution_csv_bytes(record) -> bytes:
+    """evolution_to_csv's bytes, one row and one repr at a time: R2 is |psi| squared."""
+    rows = ["t,x,re,im,R2\n"]
+    for t, snapshot in zip(record.times.tolist(), record.amplitudes.tolist()):
+        for x, psi in zip(record.grid.points.tolist(), snapshot):
+            modulus = abs(psi)
+            rows.append(f"{t!r},{x!r},{psi.real!r},{psi.imag!r},{modulus * modulus!r}\n")
+    return "".join(rows).encode()
+
+
+def trajectories_csv_bytes(ensemble) -> bytes:
+    """trajectories_to_csv's bytes, one row at a time: a trajectory is flagged with its kind's
+    word from its stop time on."""
+    rows = ["t,trajectory_id,x,kind,flags\n"]
+    word = {"bohmian": "frozen", "classical": "escaped"}[ensemble.kind]
+    for t_idx, t in enumerate(ensemble.times):
+        for m in range(ensemble.n_trajectories):
+            flag = ""
+            if np.isfinite(ensemble.stopped_at[m]) and t >= ensemble.stopped_at[m]:
+                flag = word
+            x = ensemble.positions[t_idx, m]
+            rows.append(f"{float(t)!r},{m},{float(x)!r},{ensemble.kind},{flag}\n")
+    return "".join(rows).encode()
+
+
+def classical_csv_bytes(record) -> bytes:
+    """classical_to_csv's bytes, one row and one repr at a time."""
+    rows = ["t,particle_id,x,v\n"]
+    ens = record.ensemble
+    for s, t in enumerate(ens.times.tolist()):
+        for m in range(ens.n_trajectories):
+            rows.append(f"{t!r},{m},{float(ens.positions[s, m])!r},{float(record.velocities[s, m])!r}\n")
+    return "".join(rows).encode()
 
 
 def per_n_convergence(ns, p: float, seed: int) -> list[tuple]:

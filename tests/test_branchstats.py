@@ -88,6 +88,20 @@ class TestBranchTree:
             enumerate_branch_tree(21, 0.5)
 
 
+# each refusal of an argument out of its range, with its own message
+@pytest.mark.parametrize("call, message", [
+    (lambda: BranchTree(2, 0.5, [0.25, 0.25, 0.25, 0.5]), "weights must sum to 1"),
+    (lambda: enumerate_branch_tree(3, 0.5).prob_aligned_count(4), r"r must lie in \[0, 3\]"),
+    (lambda: enumerate_branch_tree(3, 0.5).prob_aligned_count(-1), r"r must lie in \[0, 3\]"),
+    (lambda: enumerate_branch_tree(3, 0.5).frequency_central_moment(-1), "moment order must be nonnegative"),
+    (lambda: central_moment_exact(-1, 10, 0.5), "moment order must be nonnegative"),
+    (lambda: moment_scaling_report(1, [10, 20], 0.5), "m_max must be >= 2"),
+], ids=["weight-sum", "r-above-N", "r-negative", "tree-moment-order", "exact-moment-order", "m-max"])
+def test_out_of_range_argument_refused(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
 class TestProbRGivenN:
     def test_simple_half(self):
         assert abs(prob_r_given_N(1, 2, 0.5) - 0.5) < 1e-16

@@ -450,6 +450,13 @@ class TestRuns:
         convergence_to_csv(convergence_demo([100, 1000, 10000], 0.5, 20240811), expected)
         assert (out / "convergence.csv").read_bytes() == expected.read_bytes()
 
+    def test_summary_line_without_quiet(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("bell", "--config", str(CONFIGS / "bell.json"), "--out-dir", str(out)) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == f"bell: wrote correlation.csv, bell.json, manifest.json to {out}\n"
+        assert captured.err == ""
+
     def test_set_override(self, tmp_path):
         out = tmp_path / "out"
         assert run_cli("branch_stats", "--config", str(CONFIGS / "branch_stats.json"),
@@ -610,6 +617,26 @@ class TestFailureModes:
         with pytest.raises(DomainError) as refused:
             build("a" * 50_000)
         assert str(refused.value).endswith("a...") and len(str(refused.value)) < 400
+
+    # refusals of the config file and of a list override: one stderr line, no output directory
+    @pytest.mark.parametrize("config_text, override, status, named", [
+        ("[1, 2]", None, EXIT_CONFIG, "error: config must be a JSON object"),
+        (None, None, EXIT_IO, "error: cannot read config: "),
+        (None, "angles=[]", EXIT_CONFIG, "error: parameter 'angles' must be a nonempty list, got []"),
+    ], ids=["config-not-an-object", "config-missing", "empty-list"])
+    def test_refused_config_writes_nothing(self, tmp_path, capsys, config_text, override, status, named):
+        config, out = CONFIGS / "bell.json", tmp_path / "out"
+        if config_text is not None:
+            config = tmp_path / "c.json"
+            config.write_text(config_text)
+        elif override is None:
+            config = tmp_path / "missing.json"
+        args = ["bell", "--config", str(config), "--out-dir", str(out)] + (["--set", override] if override else [])
+        assert run_cli(*args) == status
+        captured = capsys.readouterr()
+        assert captured.err.startswith(named) and len(captured.err.splitlines()) == 1, captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_malformed_set_entry(self, tmp_path, capsys):
         status = run_cli("spin_split", "--config", str(CONFIGS / "spin_split.json"),

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import tempfile
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import mvlab.fields
 from mvlab.branchstats import BranchTree
 from mvlab.errors import CommensurabilityError, DomainError, ResolutionError
-from mvlab.evolution import EvolutionRecord
+from mvlab.evolution import EvolutionRecord, evolution_to_csv
 from mvlab.fields import (
     GridWavefunction,
     LazyBlocks,
@@ -32,8 +33,8 @@ from mvlab.fields import (
     write_json,
 )
 from mvlab.madelung import PolarField, decompose
-from mvlab.universes import ClassicalEnsembleRecord, TrajectoryEnsemble
-from oracles import csv_bytes
+from mvlab.universes import ClassicalEnsembleRecord, TrajectoryEnsemble, classical_to_csv, trajectories_to_csv
+from oracles import classical_csv_bytes, csv_bytes, evolution_csv_bytes, trajectories_csv_bytes
 
 PARAMS = PhysicalParams()
 
@@ -147,6 +148,11 @@ class TestPlaneWave:
         g = SpatialGrid(0.0, 2.0 * np.pi, 64)
         with pytest.raises(CommensurabilityError):
             make_plane_wave(g, 1.3, 1.0)
+
+    @pytest.mark.parametrize("amplitude", [0.0, -1.0, float("nan")])
+    def test_amplitude_must_be_positive(self, amplitude):
+        with pytest.raises(DomainError, match="amplitude must be positive"):
+            make_plane_wave(grid(), 0.0, amplitude)
 
     def test_requires_periodic(self):
         g = SpatialGrid(0.0, 2.0 * np.pi, 64, "dirichlet")
@@ -414,6 +420,33 @@ class TestParallelWriteCsv:
             write_csv(tmp_path / "out.csv", "h", blocks)
         assert_no_leftovers(tmp_path)
 
+    # a fork refused at once, or after one worker is running: no pipe, part file or child is left
+    @pytest.mark.parametrize("cores, fails_at", [(2, 1), (3, 2)])
+    def test_fork_failure_propagates(self, tmp_path, monkeypatch, cores, fails_at):
+        split_blocks(monkeypatch, cores)
+        pipes, forks, real_pipe, real_fork = [], [], os.pipe, os.fork
+
+        def recorded_pipe():
+            pipes.append(real_pipe())
+            return pipes[-1]
+
+        def failing_fork():
+            forks.append(1)
+            if len(forks) == fails_at:
+                raise OSError(errno.EAGAIN, "no process to spare")
+            return real_fork()
+
+        monkeypatch.setattr(os, "pipe", recorded_pipe)
+        monkeypatch.setattr(os, "fork", failing_fork)
+        with pytest.raises(OSError, match="no process to spare"):
+            write_csv(tmp_path / "out.csv", "h", [(np.arange(1e5),)] * cores)
+        assert len(pipes) == fails_at
+        for fd in (fd for pair in pipes for fd in pair):
+            with pytest.raises(OSError):  # closed
+                os.fstat(fd)
+        assert not (tmp_path / "out.csv").exists()
+        assert_no_leftovers(tmp_path)
+
     def test_serial_where_fork_is_missing(self, tmp_path, monkeypatch):
         split_blocks(monkeypatch, 4)
         monkeypatch.delattr(os, "fork")
@@ -427,6 +460,54 @@ class TestParallelWriteCsv:
         with pytest.raises(IndexError):
             blocks[3]
         assert [b[0][0] for b in blocks] == [0, 1, 2]  # iteration stops at the count
+
+
+def snapshot_records():
+    """A wave record, a bohmian ensemble and a classical record whose times, labels and values
+    hold -0.0 and subnormals; the ensembles stop on a recorded time, between two, and never."""
+    tiny = 5e-324
+    g = SpatialGrid(0.0, 8 * tiny, 8)  # subnormal grid points
+    re = np.array([0.5, -0.0, tiny, -2.2e-308, 0.25, -0.0, 0.0, 0.3])
+    im = np.array([-0.0, 0.125, -0.0, tiny, 1e-310, -0.0, 1e-300, -0.0])
+    amplitudes = np.empty((4, 8), dtype=np.complex128)
+    amplitudes.real = [np.roll(re, s) for s in range(4)]
+    amplitudes.imag = [np.roll(im, s) for s in range(4)]
+    wave = EvolutionRecord(free_potential(g), np.array([-0.0, tiny, 2 * tiny, 3 * tiny]), amplitudes)
+    times = np.array([-0.0, tiny, 0.25, 0.5])
+    positions = np.array([np.roll([-0.0, tiny, -tiny, 1.0, 2.2250738585072014e-308], s) for s in range(4)])
+    stopped_at = np.array([np.nan, tiny, 0.3, -0.0, 0.5])
+    bohmian = TrajectoryEnsemble(times, positions, "bohmian", stopped_at)
+    classical = TrajectoryEnsemble(times, positions, "classical", stopped_at)
+    return wave, bohmian, ClassicalEnsembleRecord(classical, np.roll(positions, 1, axis=1))
+
+
+class TestSnapshotTables:
+    """Every per-snapshot table goes through write_snapshot_csv: its bytes are its row reference's,
+    formatted serially or in forked workers."""
+
+    @pytest.mark.parametrize("cores", [None, 2, 3], ids=["serial", "split-2", "split-3"])
+    def test_each_table_equals_its_row_reference(self, tmp_path, monkeypatch, cores):
+        forks, real_fork = [], os.fork
+
+        def counted_fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        if cores:
+            split_blocks(monkeypatch, cores)
+        wave, bohmian, classical = snapshot_records()
+        for write, record, reference in ((evolution_to_csv, wave, evolution_csv_bytes),
+                                         (trajectories_to_csv, bohmian, trajectories_csv_bytes),
+                                         (classical_to_csv, classical, classical_csv_bytes)):
+            path = tmp_path / f"{write.__name__}.csv"
+            write(record, path)
+            text = path.read_bytes()
+            assert text == reference(record), write.__name__
+            assert b"-0.0," in text and b"5e-324," in text
+        assert b"frozen" in (tmp_path / "trajectories_to_csv.csv").read_bytes()
+        assert len(forks) == 3 * ((cores or 1) - 1)  # each table's four blocks split across the cores
+        assert_no_leftovers(tmp_path)
 
 
 class TestWriteJson:

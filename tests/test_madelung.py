@@ -526,6 +526,13 @@ class TestRecordPolars:
         with pytest.raises(DomainError, match="phi must have shape"):
             PolarField(rec.grid, polars.R, polars.phi[:-1], polars.node_mask)
 
+    def test_negative_modulus_rejected(self):
+        g = SpatialGrid(-1.0, 1.0, 8)
+        R = np.ones(8)
+        R[3] = -1e-300
+        with pytest.raises(DomainError, match="R must be nonnegative"):
+            PolarField(g, R, np.zeros(8), np.zeros(8, dtype=bool))
+
 
 def free_gaussian_case():
     g = SpatialGrid(-16.0, 16.0, 512)

@@ -64,6 +64,11 @@ class TestStatesAndLabels:
         with pytest.raises(DomainError):
             TwoSpinState(Direction(0.0), Direction(0.0), (1.0, 1.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("amplitudes", [(1.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0, 0.0), ()])
+    def test_state_needs_four_amplitudes(self, amplitudes):
+        with pytest.raises(DomainError, match="exactly 4 amplitudes"):
+            TwoSpinState(Direction(0.0), Direction(0.0), amplitudes)
+
     def test_pointer_validation(self):
         with pytest.raises(DomainError):
             PointerLabel(3)

@@ -14,6 +14,7 @@ from oracles import (
     loop_node_zone,
     per_snapshot_universes,
     per_step_classical,
+    trajectories_csv_bytes,
 )
 
 from mvlab.errors import DomainError
@@ -64,20 +65,6 @@ def colliding_record(boundary):
 def endpoints(rec, a, b):
     """(T, 2) columns of the trajectories started at a and b, the transport check's interval."""
     return integrate_universes(rec, [a, b], PARAMS).positions
-
-
-def loop_trajectories_csv(ensemble):
-    """trajectories_to_csv's original per-row writer: the byte reference."""
-    lines = ["t,trajectory_id,x,kind,flags\n"]
-    word = {"bohmian": "frozen", "classical": "escaped"}[ensemble.kind]
-    for t_idx, t in enumerate(ensemble.times):
-        for m in range(ensemble.n_trajectories):
-            flag = ""
-            if np.isfinite(ensemble.stopped_at[m]) and t >= ensemble.stopped_at[m]:
-                flag = word
-            x = ensemble.positions[t_idx, m]
-            lines.append(f"{float(t)!r},{m},{float(x)!r},{ensemble.kind},{flag}\n")
-    return "".join(lines).encode()
 
 
 class TestVelocityField:
@@ -275,6 +262,16 @@ class TestClassicalFlow:
             classical_ensemble_evolve(positions, velocities, free_potential(g), PARAMS, 1e-2, 10)
 
 
+    # the step rule evolve_schrodinger applies, shared
+    @pytest.mark.parametrize("dt, n_steps, message", [
+        (0.0, 10, "dt must be positive, got 0.0"), (-1e-3, 10, "dt must be positive"),
+        (float("nan"), 10, "dt must be positive, got nan"), (1e-2, -1, "n_steps must be nonnegative, got -1"),
+    ], ids=["zero-dt", "negative-dt", "nan-dt", "negative-n_steps"])
+    def test_rejects_a_bad_step(self, dt, n_steps, message):
+        g = SpatialGrid(-10.0, 10.0, 256)
+        with pytest.raises(DomainError, match=message):
+            classical_ensemble_evolve([0.0, 1.0], [0.0, 1.0], free_potential(g), PARAMS, dt, n_steps)
+
     @pytest.mark.parametrize("velocities", [[1, 2**70], np.array([0.5, 2.0], dtype=np.float32),
                                             [True, Fraction(1, 3)], (0.25, np.float64(4.0))],
                              ids=["ints", "float32-array", "bool-fraction", "tuple"])
@@ -420,6 +417,24 @@ class TestDensityTransport:
             density_transport_check(rec, ens, np.zeros((len(rec.times), 2)), PARAMS)
 
 
+# each refusal of an input out of its range, with its own message
+@pytest.mark.parametrize("call, message", [
+    (lambda: TrajectoryEnsemble([0.0, 1.0, 1.0], np.zeros((3, 2)), "bohmian", np.full(2, np.nan)),
+     "times must be strictly increasing"),
+    (lambda: TrajectoryEnsemble([0.0, -1.0], np.zeros((2, 2)), "bohmian", np.full(2, np.nan)),
+     "times must be strictly increasing"),
+    # every other point is a node, and the node zone covers the rest
+    (lambda: stratified_positions(decompose(GridWavefunction(SpatialGrid(-1.0, 1.0, 8), [1, 0] * 4), PARAMS), 4),
+     "density is zero everywhere off nodes"),
+    (lambda: stratified_positions(decompose(make_gaussian_packet(SpatialGrid(-20.0, 20.0, 256), 0.0, 1.0, 0.0,
+                                                                 PARAMS), PARAMS), 0),
+     "need at least one sample, got 0"),
+], ids=["repeated-time", "decreasing-time", "density-only-on-nodes", "no-samples"])
+def test_out_of_range_input_refused(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
 def test_every_record_is_time_major():
     """Row s of every record array is the state at times[s]; M, n and T all differ here."""
     rec = colliding_record("periodic")
@@ -447,7 +462,7 @@ class TestTrajectoriesCsv:
             trajectories_to_csv(ens, path)
             text = path.read_bytes()
             assert word in text and other not in text  # the kind names the flag
-            assert text == loop_trajectories_csv(ens)
+            assert text == trajectories_csv_bytes(ens)
 
     def test_escaped_flags_match_row_loop(self, tmp_path):
         g = SpatialGrid(-10.0, 10.0, 256, "dirichlet")
@@ -456,4 +471,4 @@ class TestTrajectoriesCsv:
         assert np.isfinite(rec.ensemble.stopped_at).any()
         path = tmp_path / "traj.csv"
         trajectories_to_csv(rec.ensemble, path)
-        assert path.read_bytes() == loop_trajectories_csv(rec.ensemble)
+        assert path.read_bytes() == trajectories_csv_bytes(rec.ensemble)
