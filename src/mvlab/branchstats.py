@@ -42,6 +42,12 @@ def _checked(N: int, p) -> float:
     return float(p)
 
 
+def _check_order(m: int) -> None:
+    """Refuse a negative moment order m."""
+    if m < 0:
+        raise DomainError(f"moment order must be nonnegative, got {m}")
+
+
 @dataclass(frozen=True)
 class BranchSequence:
     """One outcome sequence; True marks an aligned (axis-parallel) outcome."""
@@ -126,8 +132,7 @@ class BranchTree:
 
     def frequency_central_moment(self, m: int) -> float:
         """Brute-force weighted mean of (f - p)^m over all branches."""
-        if m < 0:
-            raise DomainError(f"moment order must be nonnegative, got {m}")
+        _check_order(m)
         f = self.aligned_counts() / self.N
         return float(np.sum(self.weights * (f - self.p) ** m))
 
@@ -204,8 +209,7 @@ def central_moment_exact(m: int, N: int, p) -> Fraction:
     and does not depend on N. The float boundary is the caller's problem.
     Floats passed for p are used at their exact binary value.
     """
-    if m < 0:
-        raise DomainError(f"moment order must be nonnegative, got {m}")
+    _check_order(m)
     _checked(N, p)
     return _central_moments(m, N, Fraction(p))[m]
 

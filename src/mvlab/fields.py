@@ -273,38 +273,39 @@ class LazyBlocks:
         return self.block(i)
 
 
-# fields per block range below which a forked worker costs more than it saves: at about
-# 0.5 us per field (measured on float repr fields) a range takes 30 ms or more; a fork and
-# reap of a 60 MiB process, 2-4 ms
+# repr fields per block range below which a forked worker costs more than it saves: at about
+# 0.5 us per float field a range takes 30 ms or more. Joined text is cheaper than any fork
+# pays back: the 2^16-row branch tree, three string columns, wrote in 26-28 ms in one
+# process and 36-42 ms split over two (medians of 15 writes on 2 cores, where two busy
+# processes ran 0.94-2.06 times as fast as one)
 MIN_FIELDS_PER_RANGE = 1 << 16
 _ERROR_BYTES = 4096  # a worker's error message, at most; fits an empty pipe without blocking
 
 
-def _block_ranges(blocks) -> list[int]:
-    """Bounds of the k contiguous block ranges write_csv formats: k is 1 unless the blocks
-    hold MIN_FIELDS_PER_RANGE fields per range (from the first block's size) on k cores."""
+def _block_ranges(count: int, first) -> list[int]:
+    """Bounds of the k contiguous ranges of count blocks that write_csv formats: k is 1 unless
+    they hold MIN_FIELDS_PER_RANGE repr fields per range on k cores, priced from first, the
+    first block, by its numpy columns alone (a string column is only joined)."""
     k = 1
-    if len(blocks) > 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        first = blocks[0]
-        fields = len(blocks) * len(first) * len(first[0])
-        k = max(1, min(len(os.sched_getaffinity(0)), len(blocks), fields // MIN_FIELDS_PER_RANGE))
-    return [len(blocks) * i // k for i in range(k + 1)]
+    if count > 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        fields = count * sum(len(column) for column in first if isinstance(column, np.ndarray))
+        k = max(1, min(len(os.sched_getaffinity(0)), count, fields // MIN_FIELDS_PER_RANGE))
+    return [count * i // k for i in range(k + 1)]
 
 
-def _format_range(path, head: str, blocks, lo: int, hi: int) -> None:
-    """Write head, then the rows of blocks[lo:hi], to path."""
+def _format_range(path, head: str, blocks) -> None:
+    """Write head, then the rows of each block in the iterable blocks, to path."""
     with open(path, "w", newline="\n") as fh:
         fh.write(head)
-        for i in range(lo, hi):
-            block = blocks[i]
+        for block in blocks:
             text = ([None, ","] * (len(block) - 1) + [None, "\n"]) * len(block[0])
             for j, column in enumerate(block):  # a column of another length raises ValueError
                 text[2 * j :: 2 * len(block)] = _csv_text(column)
             fh.write("".join(text))
 
 
-def _fork_worker(part: str, blocks, lo: int, hi: int) -> tuple[int, int]:
-    """Fork a process that formats blocks[lo:hi] into part and exits: (pid, read end of its error pipe)."""
+def _fork_worker(part: str, blocks) -> tuple[int, int]:
+    """Fork a process that formats the iterable blocks into part and exits: (pid, read end of its error pipe)."""
     read_end, write_end = os.pipe()
     try:
         with warnings.catch_warnings():
@@ -321,7 +322,7 @@ def _fork_worker(part: str, blocks, lo: int, hi: int) -> tuple[int, int]:
         status = 1
         try:
             os.close(read_end)
-            _format_range(part, "", blocks, lo, hi)
+            _format_range(part, "", blocks)
             status = 0
         except BaseException as exc:  # reported by the pipe and the exit status
             os.write(write_end, f"{type(exc).__name__}: {exc}".encode(errors="replace")[:_ERROR_BYTES])
@@ -345,22 +346,26 @@ def write_csv(path, header: str, blocks) -> None:
     once, with no per-row string.
 
     Large outputs are formatted on up to one core each: the blocks split
-    into k contiguous ranges of at least MIN_FIELDS_PER_RANGE fields; this
-    process writes range 0 to path while k - 1 forked workers write the
-    others to ``<path>.part<i>`` beside it, which are then appended in order
-    and deleted. The bytes are those of k = 1, the only case for small files
-    or where os.fork or os.sched_getaffinity is missing. A worker that fails
-    raises OSError naming its error; no part file or child process outlives
-    the call.
+    into k contiguous ranges of at least MIN_FIELDS_PER_RANGE numeric
+    fields, those that need ``repr``, counted from the first block's numpy
+    columns (a string column is only joined, so a table of strings alone is
+    written serially). This process writes range 0 to path while k - 1
+    forked workers write the others to ``<path>.part<i>`` beside it, which
+    are then appended in order and deleted. The bytes are those of k = 1,
+    the only case for small files or where os.fork or os.sched_getaffinity
+    is missing. Each block is built once. A worker that fails raises
+    OSError naming its error; no part file or child process outlives the
+    call.
     """
-    bounds = _block_ranges(blocks)
+    first = blocks[0] if len(blocks) else None  # built once: it prices the plan and opens range 0
+    bounds = _block_ranges(len(blocks), first)
     parts = [f"{os.fspath(path)}.part{i}" for i in range(1, len(bounds) - 1)]
     running, pipes = {}, []
     try:
         for i, part in enumerate(parts, 1):
-            running[part], pipe = _fork_worker(part, blocks, bounds[i], bounds[i + 1])
+            running[part], pipe = _fork_worker(part, map(blocks.__getitem__, range(bounds[i], bounds[i + 1])))
             pipes.append(pipe)
-        _format_range(path, header + "\n", blocks, bounds[0], bounds[1])
+        _format_range(path, header + "\n", (first if i == 0 else blocks[i] for i in range(bounds[1])))
         for part, pipe in zip(parts, pipes):
             status = os.waitpid(running[part], 0)[1]
             del running[part]

@@ -338,6 +338,10 @@ def any_trees(draw):
     return BranchTree(N, 0.5, weights)
 
 
+def never_fork():
+    raise AssertionError("the branch-tree writer forked a CSV worker")
+
+
 class TestCsvExports:
     def test_branch_tree_csv(self, tmp_path):
         tree = enumerate_branch_tree(3, 0.25)
@@ -362,8 +366,8 @@ class TestCsvExports:
 
     @pytest.mark.parametrize("N", [1, 5, 12, 13, 16, 17])
     def test_branch_tree_csv_matches_format_reference(self, tmp_path, N):
-        # N = 12 is one full block at the default 2^12 rows, N >= 13 spans several and N >= 16
-        # holds the 2^16 fields a range needs before write_csv forks a worker
+        # N = 12 is one full block at the default 2^12 rows and N >= 13 spans several; the
+        # tree's columns are all text, so write_csv formats every N in this process
         for p in (0.3, 0.5, 1.0):  # p = 1 gives exact zeros beside the one weight 1.0
             tree = enumerate_branch_tree(N, p)
             path = tmp_path / "tree.csv"
@@ -372,15 +376,17 @@ class TestCsvExports:
 
     # any tree, not only an enumerated one: repeated weights, 0.0 beside -0.0, subnormals and
     # negatives; each weight is keyed on its bits, so -0.0 and 0.0 keep their own text
-    @pytest.mark.parametrize("forked", [False, True])
+    @pytest.mark.parametrize("split_ready", [False, True])
     @settings(max_examples=40, deadline=None)
     @given(tree=any_trees())
-    def test_any_tree_csv_matches_format_reference(self, forked, tree):
+    def test_any_tree_csv_matches_format_reference(self, split_ready, tree):
         with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as mp:
-            if forked:  # a tree of two or more 8-row blocks is split over up to three processes
+            if split_ready:  # 8-row blocks, 1-field ranges and three cores: the tree's columns
+                # are all text, with no field to repr, so write_csv still forks no worker
                 mp.setattr(branchstats, "_CSV_CHUNK_ROWS", 8)
                 mp.setattr(fields, "MIN_FIELDS_PER_RANGE", 1)
                 mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+                mp.setattr(os, "fork", never_fork)
             path = Path(out, "tree.csv")
             branch_tree_to_csv(tree, path)
             assert path.read_bytes() == tree_csv_bytes(tree)

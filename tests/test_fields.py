@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvlab.fields
-from mvlab.branchstats import BranchTree
+import mvlab.branchstats
+from mvlab.branchstats import BranchTree, branch_tree_to_csv, enumerate_branch_tree
 from mvlab.errors import CommensurabilityError, DomainError, ResolutionError
 from mvlab.evolution import EvolutionRecord, evolution_to_csv
 from mvlab.fields import (
@@ -19,6 +20,7 @@ from mvlab.fields import (
     PhysicalParams,
     PotentialField,
     SpatialGrid,
+    _block_ranges,
     _freeze,
     free_potential,
     gradient,
@@ -396,8 +398,10 @@ class TestParallelWriteCsv:
             write_csv(path, "h", LazyBlocks(n_blocks, blocks.__getitem__))
             assert path.read_bytes() == csv_bytes("h", blocks)
             assert_no_leftovers(out)
-        # one worker per core beyond this process's own, while the first block has fields
-        assert len(forks) == (min(cores, n_blocks) - 1 if sizes[0] else 0)
+        # one worker per core beyond this process's own, while the first block has rows and a
+        # numpy column: string columns are only joined, so they price no range
+        numeric = any(kind != "str" for kind in kinds)
+        assert len(forks) == (min(cores, n_blocks) - 1 if sizes[0] and numeric else 0)
 
     def test_worker_failure_raises_oserror_naming_it(self, tmp_path, monkeypatch):
         split_blocks(monkeypatch, 2)
@@ -415,7 +419,8 @@ class TestParallelWriteCsv:
 
     def test_own_range_failure_stops_the_workers(self, tmp_path, monkeypatch):
         split_blocks(monkeypatch, 3)
-        blocks = [(Exploding(3),)] + [(np.arange(1e5),)] * 5  # the workers still have work
+        # a numpy column beside the failing one prices the split; the workers still have work
+        blocks = [(np.arange(3.0), Exploding(3))] + [(np.arange(1e5), np.arange(1e5))] * 5
         with pytest.raises(RuntimeError, match="boom"):
             write_csv(tmp_path / "out.csv", "h", blocks)
         assert_no_leftovers(tmp_path)
@@ -453,6 +458,40 @@ class TestParallelWriteCsv:
         blocks = [(np.arange(4) - 1.5, [f"r{i}" for i in range(4)])] * 3
         write_csv(tmp_path / "out.csv", "a,b", blocks)
         assert (tmp_path / "out.csv").read_bytes() == csv_bytes("a,b", blocks)
+
+    def test_string_only_table_never_forks(self, tmp_path, monkeypatch):
+        split_blocks(monkeypatch, 4)
+
+        def never_fork():
+            raise AssertionError("a string-only table forked a CSV worker")
+
+        monkeypatch.setattr(os, "fork", never_fork)
+        blocks = [(["a", "b"], ["-0.0", "nan"])] * 5
+        write_csv(tmp_path / "out.csv", "a,b", blocks)
+        assert (tmp_path / "out.csv").read_bytes() == csv_bytes("a,b", blocks)
+
+    # the plan of the bench's two large tables, on 2 cores, priced by the fields repr formats
+    def test_plan_prices_only_numpy_columns(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        tables = []
+        monkeypatch.setattr(mvlab.branchstats, "write_csv", lambda path, header, blocks: tables.append(blocks))
+        branch_tree_to_csv(enumerate_branch_tree(16, 0.5), "unwritten.csv")
+        (tree,) = tables  # 16 blocks of 4096 rows in three string columns: nothing to repr
+        assert _block_ranges(len(tree), tree[0]) == [0, 16]
+        texts = ["0.5"] * 1000  # trajectories.csv: t, id, kind and flags as text, x as floats
+        trajectories = LazyBlocks(501, lambda s: (texts, texts, np.zeros(1000), texts, texts))
+        assert _block_ranges(len(trajectories), trajectories[0]) == [0, 250, 501]
+
+    def test_serial_write_builds_each_block_once(self, tmp_path):
+        built = []
+
+        def block(i):
+            built.append(i)
+            return np.arange(3.0) + i, ["a", "b", "c"]
+
+        write_csv(tmp_path / "out.csv", "x,s", LazyBlocks(4, block))
+        assert built == [0, 1, 2, 3]
+        assert (tmp_path / "out.csv").read_bytes() == csv_bytes("x,s", [block(i) for i in range(4)])
 
     def test_lazy_blocks_are_sized_and_bounded(self):
         blocks = LazyBlocks(3, lambda i: (np.full(2, i),))
