@@ -63,7 +63,6 @@ from .fields import (
 )
 from .madelung import (
     DEFAULT_NODE_EPSILON, decompose, polar_to_csv, quantum_potential, quantum_potential_to_csv,
-    record_polars,
 )
 from .spins import (
     branch_correlation,
@@ -239,9 +238,8 @@ def _run_universes(p):
     record = evolve_schrodinger(
         wf0, free_potential(grid), params, p["dt"], p["n_steps"], p["snapshot_stride"]
     )
-    polar0 = record_polars(record, params, p["node_epsilon"])[0]
     m = p["n_trajectories"]
-    starts = stratified_positions(polar0, m)
+    starts = stratified_positions(decompose(wf0, params, p["node_epsilon"]), m)  # bitwise row 0
     # one integration for the ensemble and the interval's endpoints; the columns are views
     run = integrate_universes(record, np.concatenate((starts, ends)), params, p["node_epsilon"])
     ensemble = TrajectoryEnsemble(run.times, run.positions[:, :m], run.kind, run.stopped_at[:m])
@@ -332,8 +330,9 @@ class Experiment(NamedTuple):
     """One CLI experiment: its schema, its size rule and its pipeline.
 
     `size(p)` is the bytes of the run's largest arrays, from its validated parameters alone:
-    a wave snapshot is 16 B per grid point and its polar decomposition 17 B (R, phi, node mask),
-    a trajectory table 8 B per trajectory per recorded time, a sampled column 8 B per value.
+    a wave snapshot is 16 B per grid point, a trajectory table 8 B per trajectory per recorded
+    time, a sampled column 8 B per value. No (T, n) polar stack is held: a record is decomposed
+    a few snapshots at a time.
     """
     schema: list[Param]
     size: Callable[[dict], int]
@@ -379,7 +378,7 @@ EXPERIMENTS = {
             Param("interval_b", "float"),
             _NODE_EPS,
         ],
-        lambda p: (33 * p["n_points"] + 8 * p["n_trajectories"]) * _snapshots(p), _run_universes,
+        lambda p: (16 * p["n_points"] + 8 * p["n_trajectories"]) * _snapshots(p), _run_universes,
     ),
     "caustic": Experiment(
         # _run_caustic makes arrays of these before any library rule; the size rule divides by dt

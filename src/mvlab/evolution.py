@@ -10,7 +10,8 @@ loads the one scipy extension module it needs on its own, after only the
 top-level `import scipy`; no run imports scipy.fft or scipy.linalg, and
 importing mvlab loads no scipy at all. The trajectory flows, Bohmian and
 classical, live in mvlab.universes, which this module does not import.
-An EvolutionRecord holds its snapshots as one (T, n) array, validated once.
+An EvolutionRecord holds its snapshots as one (T, n) array, validated once, and
+no other (T, n) array: madelung streams its polar decomposition.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class EvolutionRecord:
     potential: PotentialField
     times: np.ndarray
     amplitudes: np.ndarray
-    _polars: tuple | None = field(default=None, init=False, repr=False)  # see record_polars
+    _residuals: tuple | None = field(default=None, init=False, repr=False)  # see madelung._residual_pair
 
     def __post_init__(self):
         times = np.array(self.times, dtype=np.float64)
@@ -134,7 +135,7 @@ def evolve_schrodinger(
         step = (
             _split_step_stepper(grid, V, params, dt)
             if grid.boundary == "periodic"
-            else _crank_nicolson_stepper(grid, V, params, dt)
+            else _crank_nicolson_stepper(grid, V, params, dt, stride)
         )
         for k in range(1, n_steps + 1):
             psi = step(psi)
@@ -226,9 +227,10 @@ def _gttr():
     return flapack.zgttrf, flapack.zgttrs
 
 
-def _crank_nicolson_stepper(grid, V, params, dt):
+def _crank_nicolson_stepper(grid, V, params, dt, stride=1):
     # H = -(hbar^2/2m) D2 + V with zero ghosts just outside the stored points;
-    # (1 + r H) psi' = (1 - r H) psi, the left matrix LU-factored once
+    # (1 + r H) psi' = (1 - r H) psi, the left matrix LU-factored once; finiteness is checked
+    # once for the operator and at each recorded (stride-th) step for the state
     denominator = 2.0 * params.mass * grid.dx**2
     c = params.hbar**2 / denominator if denominator > 0.0 else math.inf  # mass*dx**2 may underflow
     if not (0.0 < c < math.inf):
@@ -240,17 +242,21 @@ def _crank_nicolson_stepper(grid, V, params, dt):
     r = 1j * dt / (2.0 * params.hbar)
     off = np.full(grid.n_points - 1, -r * c, dtype=np.complex128)
     main = 1.0 + r * diag
+    finite = bool(np.isfinite(main).all() and np.isfinite(off).all())
     gttrf, gttrs = _gttr()
     dl, d, du, du2, ipiv, info = gttrf(off, main, off)
     if info != 0:
         raise DomainError(f"Crank-Nicolson factorisation failed (LAPACK gttrf info={info})")
+    taken = 0
 
     def step(psi):
+        nonlocal taken
         h_psi = diag * psi
         h_psi[:-1] -= c * psi[1:]
         h_psi[1:] -= c * psi[:-1]
         rhs = psi - r * h_psi
-        if not np.isfinite(rhs).all():
+        taken += 1
+        if taken % stride == 0 and not (finite and np.isfinite(rhs).all()):
             raise DomainError("Crank-Nicolson right-hand side is not finite (state, dt, hbar or dx)")
         x, info = gttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=True)
         if info != 0:

@@ -6,9 +6,10 @@ downstream physics uses. Unwrapping never crosses a node: each node-free
 segment unwraps independently, anchored at its own modulus maximum where phi
 takes its principal value in (-pi*hbar, pi*hbar].
 
-decompose takes an (n,) field or a record's (T, n) stack, which record_polars
-caches for every consumer; the residual pair reads that stack RESIDUAL_BLOCK
-interior snapshots at a time, through one blocked pass.
+decompose takes an (n,) field, a record's (T, n) stack or a window of its rows.
+The residual pair streams a record: one pass decomposes RESIDUAL_BLOCK + 2 rows
+at a time and computes both residuals from each window, so no (T, n) polar or
+residual array is ever held; the record keeps the two small reports.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ DEFAULT_NODE_EPSILON = 1e-6
 # trusted: a centered stencil touching a node point reads garbage phase.
 MASK_DILATION = 2
 
-# interior rows per block of the residual pair: at n=2048, 16 rows add 1.8 MiB
-# to the report's own field and mask, where (T-2, n) temporaries added 19 MiB
+# interior rows per window of the residual pass, which decomposes 2 more: the pass peaks at
+# about 15 window-sized float64 arrays (4.5 MiB at n=2048), whatever the record's length
 RESIDUAL_BLOCK = 16
 
 
@@ -87,17 +88,16 @@ class QuantumPotentialField:
 
 @dataclass(frozen=True, eq=False)
 class ResidualReport:
-    """Pointwise residual of a transport identity plus its summary norms.
+    """Summary norms of a transport identity's residual over the interior snapshot times.
 
-    field has one row per interior snapshot time and NaN where masked;
-    scalar is the dx-weighted L2 norm averaged over those times, and scale
-    is the largest time-derivative magnitude, so scalar/scale is the
+    sq_per_time holds the dx-weighted sum of squares of the unmasked residual
+    at each of those times (read-only); scalar is the root of their mean, and
+    scale is the largest time-derivative magnitude, so scalar/scale is the
     dimensionless figure used by the convergence criteria.
     """
 
     times: np.ndarray
-    field: np.ndarray
-    mask: np.ndarray
+    sq_per_time: np.ndarray
     scalar: float
     scale: float
 
@@ -126,16 +126,18 @@ def _wrap(delta: np.ndarray, period: float) -> np.ndarray:
 
 
 def decompose(
-    source, params: PhysicalParams, node_epsilon: float = DEFAULT_NODE_EPSILON
+    source, params: PhysicalParams, node_epsilon: float = DEFAULT_NODE_EPSILON, rows=slice(None)
 ) -> PolarField:
     """Split psi into modulus R and unwrapped phase phi with R*exp(i*phi/hbar) = psi.
 
     source has a .grid and (n,) or (T, n) .amplitudes (a GridWavefunction or an
-    EvolutionRecord); each row of the like-shaped PolarField is decomposed on its own.
+    EvolutionRecord); rows picks a record's snapshots, an index or a slice. Each
+    row of the like-shaped PolarField is decomposed on its own, so a window of
+    rows has the bits of those rows of the whole stack.
     """
     if not (0.0 < node_epsilon <= 0.1):
         raise DomainError(f"node_epsilon must lie in (0, 0.1], got {node_epsilon}")
-    psi = source.amplitudes
+    psi = source.amplitudes[rows]
     R = np.abs(psi)
     r_max = R.max(axis=-1, keepdims=True)
     if (r_max == 0.0).any():
@@ -200,67 +202,73 @@ def universe_density(polar: PolarField) -> np.ndarray:
     return polar.R**2
 
 
-def record_polars(
-    record: "EvolutionRecord", params: PhysicalParams, node_epsilon: float = DEFAULT_NODE_EPSILON
-) -> PolarField:
-    """The record decomposed into one (T, n) stack: one decompose call, held on the record.
+def _residual_windows(record: "EvolutionRecord", params: PhysicalParams, node_epsilon: float):
+    """Per window of interior rows: keep, then each residual with its rate, continuity first.
 
-    The stack is keyed by (hbar, node_epsilon), since the record holds no
-    hbar of its own; a call with another key rebuilds it, so a record holds
-    at most one stack.
+    Interior rows lo..hi-1 are snapshots lo+1..hi, whose centered differences
+    read snapshots lo..hi+1; those RESIDUAL_BLOCK + 2 rows are all a window
+    decomposes. keep is False on the node zone of the three snapshots (and
+    near dirichlet ends). Every kernel works along the last axis, so each
+    window has the bits of the same rows of a whole-stack pass; the two
+    residuals share the window's phase gradient and mask.
     """
-    key = (params.hbar, node_epsilon)
-    if record._polars is None or record._polars[0] != key:
-        object.__setattr__(record, "_polars", (key, decompose(record, params, node_epsilon)))
-    return record._polars[1]
-
-
-def _polar_stack(record, params, node_epsilon):
-    """The record's polar stack and time step; centered time differences need 3 snapshots."""
-    times = record.times
+    grid, times = record.grid, record.times
     if times.size < 3:
         raise DomainError("residuals need at least 3 snapshots for centered time differences")
-    return record_polars(record, params, node_epsilon), (times[-1] - times[0]) / (len(times) - 1)
-
-
-def _blocked_report(record, polars, terms):
-    """The (T-2, n) residual, masked near nodes (and dirichlet ends) and summarised.
-
-    terms(R, phi, nodes) takes the polar stack's rows lo..hi+1 and returns the
-    residual and its rate on the interior rows between them, snapshots
-    lo+1..hi. The pass runs RESIDUAL_BLOCK interior rows at a time into the
-    preallocated field and mask, so no (T-2, n) temporary is built. The
-    report is bit for bit the whole-stack one: every kernel works along the
-    last axis, each per-time sum is a 1-D sum over one row, and max is exact.
-    """
-    grid = record.grid
-    periodic = grid.boundary == "periodic"
-    rows = len(polars) - 2
-    field = np.empty((rows, grid.n_points))
-    mask = np.empty((rows, grid.n_points), dtype=bool)
-    sq_per_time = []
-    scale = 0.0
+    dt = (times[-1] - times[0]) / (len(times) - 1)
+    hbar, mass = params.hbar, params.mass
+    period = 2.0 * np.pi * hbar
+    rows = len(times) - 2
     for lo in range(0, rows, RESIDUAL_BLOCK):
         hi = min(lo + RESIDUAL_BLOCK, rows)
-        window = slice(lo, hi + 2)
-        nodes = polars.node_mask[window]
-        residual, rate = terms(polars.R[window], polars.phi[window], nodes)
+        polar = decompose(record, params, node_epsilon, slice(lo, hi + 2))
+        R, phi, nodes = polar.R, polar.phi, polar.node_mask
         masked = node_zone(nodes[:-2] | nodes[1:-1] | nodes[2:], grid)
-        if not periodic:
+        if grid.boundary != "periodic":
             masked[:, :MASK_DILATION] = True
             masked[:, -MASK_DILATION:] = True
-        keep = ~masked
-        # one sum per time, as a 1-D sum: an axis=1 reduction may round differently
-        sq_per_time += [
-            float(np.sum(r[k] ** 2) * grid.dx) if k.any() else 0.0 for r, k in zip(residual, keep)
-        ]
-        if keep.any():
-            scale = np.maximum(scale, np.max(np.abs(rate[keep])))  # NaN propagates, as in one max
-        residual[masked] = np.nan
-        field[lo:hi] = residual
-        mask[lo:hi] = masked
-    scalar = float(np.sqrt(np.mean(sq_per_time)))
-    return ResidualReport(record.times[1:-1].copy(), field, mask, scalar, float(scale))
+        grad_phi = phase_gradient(phi[1:-1], grid, hbar)
+
+        d_density_dt = (R[2:] ** 2 - R[:-2] ** 2) / (2.0 * dt)
+        flux = grad_phi * R[1:-1] ** 2 / mass
+        continuity = d_density_dt + gradient(flux, grid)
+
+        # per-snapshot unwrapping fixes phi only up to 2*pi*hbar per segment; wrapping
+        # each increment removes that ambiguity provided |dphi/dt|*dt < pi*hbar
+        rate = (_wrap(phi[2:] - phi[1:-1], period) + _wrap(phi[1:-1] - phi[:-2], period)) / (2.0 * dt)
+        # rate + (grad phi)^2/2m + V - (hbar^2/2m) lap(R)/R, summed in that order, in place
+        hamilton_jacobi = rate + grad_phi**2 / (2.0 * mass)
+        hamilton_jacobi += record.potential.values
+        curvature = laplacian(R[1:-1], grid) / np.where(nodes[1:-1], 1.0, R[1:-1])
+        hamilton_jacobi -= (hbar**2 / (2.0 * mass)) * curvature
+        yield ~masked, (continuity, d_density_dt), (hamilton_jacobi, rate)
+
+
+def _residual_pair(record: "EvolutionRecord", params: PhysicalParams, node_epsilon: float):
+    """The continuity and Hamilton-Jacobi reports from one streamed pass, held on the record.
+
+    The pair is keyed by (params, node_epsilon); a call with another key
+    rebuilds it, so a record holds at most one pair. Each per-time sum is a
+    1-D sum over one row and max is exact, so the reports are bit for bit
+    the whole-stack ones.
+    """
+    key = (params, node_epsilon)
+    if record._residuals is None or record._residuals[0] != key:
+        dx, sq_per_time, scale = record.grid.dx, ([], []), [0.0, 0.0]
+        for keep, *pair in _residual_windows(record, params, node_epsilon):
+            for k, (residual, rate) in enumerate(pair):
+                # one sum per time, as a 1-D sum: an axis=1 reduction may round differently
+                sq_per_time[k].extend(float(np.sum(r[m] ** 2) * dx) if m.any() else 0.0
+                                      for r, m in zip(residual, keep))
+                if keep.any():  # NaN propagates, as in one max
+                    scale[k] = np.maximum(scale[k], np.max(np.abs(rate[keep])))
+        reports = []
+        for sums, top in zip(sq_per_time, scale):
+            sums = np.array(sums)
+            sums.flags.writeable = False
+            reports.append(ResidualReport(record.times[1:-1], sums, float(np.sqrt(np.mean(sums))), float(top)))
+        object.__setattr__(record, "_residuals", (key, tuple(reports)))
+    return record._residuals[1]
 
 
 def continuity_residual(
@@ -274,15 +282,7 @@ def continuity_residual(
     by the wave equation: R^2 is a conserved density carried by the phase
     flow.
     """
-    grid = record.grid
-    polars, dt = _polar_stack(record, params, node_epsilon)
-
-    def terms(R, phi, nodes):
-        d_density_dt = (R[2:] ** 2 - R[:-2] ** 2) / (2.0 * dt)
-        flux = phase_gradient(phi[1:-1], grid, params.hbar) * R[1:-1] ** 2 / params.mass
-        return d_density_dt + gradient(flux, grid), d_density_dt
-
-    return _blocked_report(record, polars, terms)
+    return _residual_pair(record, params, node_epsilon)[0]
 
 
 def hamilton_jacobi_residual(
@@ -297,24 +297,9 @@ def hamilton_jacobi_residual(
     obeys a classical-looking evolution law, which is the second half of the
     decomposition identity. V must be the potential the record evolved in.
     """
-    grid = record.grid
-    if V.grid != grid or not np.array_equal(V.values, record.potential.values):
+    if V.grid != record.grid or not np.array_equal(V.values, record.potential.values):
         raise DomainError("the potential is not the one the record evolved in")
-    polars, dt = _polar_stack(record, params, node_epsilon)
-    period = 2.0 * np.pi * params.hbar
-
-    def terms(R, phi, nodes):
-        # per-snapshot unwrapping fixes phi only up to 2*pi*hbar per segment; wrapping
-        # each increment removes that ambiguity provided |dphi/dt|*dt < pi*hbar
-        rate = (_wrap(phi[2:] - phi[1:-1], period) + _wrap(phi[1:-1] - phi[:-2], period)) / (2.0 * dt)
-        # rate + (grad phi)^2/2m + V - (hbar^2/2m) lap(R)/R, summed in that order, in place
-        residual = rate + phase_gradient(phi[1:-1], grid, params.hbar) ** 2 / (2.0 * params.mass)
-        residual += V.values
-        curvature = laplacian(R[1:-1], grid) / np.where(nodes[1:-1], 1.0, R[1:-1])
-        residual -= (params.hbar**2 / (2.0 * params.mass)) * curvature
-        return residual, rate
-
-    return _blocked_report(record, polars, terms)
+    return _residual_pair(record, params, node_epsilon)[1]
 
 
 def polar_to_csv(polar: PolarField, path) -> None:

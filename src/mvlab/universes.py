@@ -7,9 +7,9 @@ the quantum flow never reorders, the classical converging flow does.
 Both flows record (T, M) positions and share one start rule (_starts), one RK4
 stage (_rk4) and one stop rule, a NaN stop time meaning never: integrate_universes
 steps x once per snapshot interval, classical_ensemble_evolve the stacked (x, v).
-integrate_universes reads madelung.record_polars, so each snapshot of a
-record is decomposed once, and derives the velocity VELOCITY_BLOCK snapshots
-at a time: a whole-stack velocity would hold another (T, n) array.
+integrate_universes decomposes a record VELOCITY_BLOCK snapshots at a time, each
+snapshot once, and derives the velocity of each block: no (T, n) polar stack or
+velocity is held.
 """
 
 from __future__ import annotations
@@ -30,18 +30,12 @@ from .fields import (
     interpolator,
     write_snapshot_csv,
 )
-from .madelung import (
-    DEFAULT_NODE_EPSILON,
-    PolarField,
-    decompose,  # noqa: F401  unused here; bench/child.py rebinds it by name to count calls
-    node_zone,
-    phase_gradient,
-    record_polars,
-)
+from .madelung import DEFAULT_NODE_EPSILON, PolarField, decompose, node_zone, phase_gradient
 
 KINDS = {"bohmian": "frozen", "classical": "escaped"}  # each kind's word for a stopped trajectory
 
-# snapshots per velocity_field call: at n=2048, 16 add 1.3 MiB to peak memory, 64 add 4.5 MiB
+# snapshots decomposed per velocity_field call: at n=1024 the peak above the (T, M) positions
+# is about 8.5 blocks of float64 velocity (1.1 MiB), whatever the record's length
 VELOCITY_BLOCK = 16
 
 
@@ -153,11 +147,10 @@ def integrate_universes(
     """
     grid = record.grid
     x = _starts(grid, initial_positions)
-    polars = record_polars(record, params, node_epsilon)
 
     def flows():  # per snapshot: the velocity, zero on the node zone, and the zone
-        for b in range(0, len(polars), VELOCITY_BLOCK):
-            v = velocity_field(polars[b : b + VELOCITY_BLOCK], params)
+        for b in range(0, len(record.times), VELOCITY_BLOCK):
+            v = velocity_field(decompose(record, params, node_epsilon, slice(b, b + VELOCITY_BLOCK)), params)
             zone = np.isnan(v)
             yield from zip(np.where(zone, 0.0, v), zone)
 
@@ -337,7 +330,7 @@ def density_transport_check(
         raise DomainError(f"endpoints must have shape ({times.size}, 2), got {endpoints.shape}")
     a, b = transport_interval(record.grid, endpoints[0])
 
-    edges, cdf = _density_cdf(record_polars(record, params, node_epsilon)[0])
+    edges, cdf = _density_cdf(decompose(record, params, node_epsilon, 0))
     expected = float(np.interp(b, edges, cdf) - np.interp(a, edges, cdf))
 
     pos = ensemble.positions

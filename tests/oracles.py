@@ -136,10 +136,10 @@ def loop_node_zone(mask, grid):
 def per_snapshot_residual_pair(record, V, params, node_epsilon):
     """The continuity and Hamilton-Jacobi reports, one snapshot triple at a time.
 
-    The per-snapshot loop that mvlab.madelung's stacked residuals
+    The per-snapshot loop that mvlab.madelung's streamed residuals
     replaced: every snapshot is decomposed on its own and every kernel is
-    applied to one (n,) row. Returns two (times, field, mask, scalar, scale)
-    tuples, continuity first.
+    applied to one (n,) row. Returns two (times, field, mask, sq_per_time,
+    scalar, scale) tuples, continuity first.
     """
     from mvlab.fields import gradient, laplacian
     from mvlab.madelung import MASK_DILATION, decompose, node_zone, phase_gradient
@@ -187,26 +187,26 @@ def per_snapshot_residual_pair(record, V, params, node_epsilon):
         scalar = float(np.sqrt(np.mean(sq_per_time)))
         rates = np.array([rate for _, rate in rows])
         scale = float(np.max(np.abs(rates[keep]))) if np.any(keep) else 0.0
-        reports.append((times[1:-1].copy(), field, mask_arr, scalar, scale))
+        reports.append((times[1:-1].copy(), field, mask_arr, np.array(sq_per_time), scalar, scale))
     return reports
 
 
 def whole_stack_residual_pair(record, V, params, node_epsilon):
     """The continuity and Hamilton-Jacobi reports, each built over the whole stack at once.
 
-    The (T-2, n) arithmetic that mvlab.madelung's blocked pass replaced,
+    The (T-2, n) arithmetic that mvlab.madelung's streamed pass replaced,
     expression for expression: every temporary spans all interior
-    snapshots. Reads the record's cached polar stack. Returns two
-    (times, field, mask, scalar, scale) tuples, continuity first.
+    snapshots, read from the record decomposed in one call. Returns two
+    (times, field, mask, sq_per_time, scalar, scale) tuples, continuity first.
     """
     from mvlab.fields import gradient, laplacian
-    from mvlab.madelung import MASK_DILATION, node_zone, phase_gradient, record_polars
+    from mvlab.madelung import MASK_DILATION, decompose, node_zone, phase_gradient
 
     grid = record.grid
     hbar, mass = params.hbar, params.mass
     period = 2.0 * np.pi * hbar
     periodic = grid.boundary == "periodic"
-    polars = record_polars(record, params, node_epsilon)
+    polars = decompose(record, params, node_epsilon)
     R, phi, nodes = polars.R, polars.phi, polars.node_mask
     times = record.times
     dt = (times[-1] - times[0]) / (len(times) - 1)
@@ -224,7 +224,7 @@ def whole_stack_residual_pair(record, V, params, node_epsilon):
         scalar = float(np.sqrt(np.mean(sq_per_time)))
         scale = float(np.max(np.abs(rate[keep]))) if keep.any() else 0.0
         residual[mask] = np.nan
-        return times[1:-1].copy(), residual, mask, scalar, scale
+        return times[1:-1].copy(), residual, mask, np.array(sq_per_time), scalar, scale
 
     d_density_dt = (R[2:] ** 2 - R[:-2] ** 2) / (2.0 * dt)
     flux = phase_gradient(phi[1:-1], grid, hbar) * R[1:-1] ** 2 / mass

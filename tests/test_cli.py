@@ -157,7 +157,7 @@ class TestGuards:
     def test_size_estimate_of_the_configs(self):
         expected = {
             "evolve": 16 * 256 * 6,  # 100 steps, stride 20
-            "universes": 33 * 512 * 11 + 8 * 64 * 11,  # 200 steps, stride 20, 64 trajectories
+            "universes": 16 * 512 * 11 + 8 * 64 * 11,  # 200 steps, stride 20, 64 trajectories
             "caustic": 16 * 256 + 2 * 8 * 16 * 103,  # round(1.2546 / 0.0123) + 1 recorded times
             "decompose": 16 * 256,
             "bell": 3 * 8 * 32,
@@ -172,11 +172,13 @@ class TestGuards:
             assert (name, EXPERIMENTS[name].size(p)) == (name, expected[name])
             assert expected[name] < MAX_RUN_BYTES
 
-    def test_size_estimate_counts_the_universes_polar_stack(self):
-        # 20 000 snapshots of 2048 points: amplitudes 16 B, then R and phi 8 B each and
-        # the node mask 1 B per point; only the estimate is computed, never the run
+    def test_size_estimate_counts_the_universes_record(self):
+        # 16 B of amplitudes per point per snapshot and no polar stack, which is never held, so
+        # 20 000 snapshots of 2048 points are admitted; only the estimate is computed, never the run
         p = {"n_points": 2048, "n_steps": 19999, "snapshot_stride": 1, "n_trajectories": 64}
-        assert EXPERIMENTS["universes"].size(p) == (33 * 2048 + 8 * 64) * 20000 > MAX_RUN_BYTES
+        assert EXPERIMENTS["universes"].size(p) == (16 * 2048 + 8 * 64) * 20000 < MAX_RUN_BYTES
+        p["n_steps"] = 39999  # 40 000 snapshots are not
+        assert EXPERIMENTS["universes"].size(p) == (16 * 2048 + 8 * 64) * 40000 > MAX_RUN_BYTES
 
     # with snapshot_stride left out the library picks the stride; the rule must not undershoot
     # it (it overstates up to 256.5x at a prime n_steps, where the stride is n_steps itself)

@@ -45,7 +45,6 @@ from mvlab.madelung import (
     polar_to_csv,
     quantum_potential,
     recompose,
-    record_polars,
     universe_density,
 )
 from mvlab.universes import density_transport_check, integrate_universes, stratified_positions
@@ -413,7 +412,7 @@ class TestResiduals:
         hj = hamilton_jacobi_residual(rec, free_potential(g), PARAMS)
         assert np.isfinite(cont.scalar) and cont.relative < 1e-2
         assert np.isfinite(hj.scalar) and hj.relative < 1e-2
-        assert cont.mask.any()  # the node region was actually excluded
+        assert pointwise(rec, 1e-6)[0][1].any()  # the node region was actually excluded
 
 
 def odd_record(n=512, n_steps=120, stride=4):
@@ -423,19 +422,29 @@ def odd_record(n=512, n_steps=120, stride=4):
 
 
 class TestRecordPolars:
-    """A record is decomposed in one call, whichever consumers read it."""
+    """A record is decomposed a window of snapshots at a time; it holds only its residual pair."""
 
     @pytest.fixture
-    def calls(self, monkeypatch):
-        counter = {"decompose": 0}
+    def decomposed(self, monkeypatch):
+        """Each decompose call's snapshot indices into the record it read, or None for a lone field."""
+        calls = []
         real = mvlab.madelung.decompose
 
-        def counted(*args, **kwargs):
-            counter["decompose"] += 1
-            return real(*args, **kwargs)
+        def counted(source, *args):
+            rows = args[2] if len(args) > 2 else slice(None)
+            amps = source.amplitudes
+            calls.append(np.atleast_1d(np.arange(len(amps))[rows]) if amps.ndim == 2 else None)
+            return real(source, *args)
 
-        monkeypatch.setattr(mvlab.madelung, "decompose", counted)
-        return counter
+        for module in (mvlab.madelung, mvlab.universes, mvlab.cli):
+            monkeypatch.setattr(module, "decompose", counted)
+        return calls
+
+    @staticmethod
+    def per_snapshot(calls, T):
+        """How often each of a record's T snapshots was decomposed, and how many lone fields were."""
+        counts = np.bincount(np.concatenate([c for c in calls if c is not None]), minlength=T)
+        return counts.tolist(), sum(c is None for c in calls)
 
     @staticmethod
     def outputs(rec, node_epsilon=1e-6):
@@ -447,7 +456,7 @@ class TestRecordPolars:
         ens = integrate_universes(rec, starts, PARAMS, node_epsilon)
         ends = integrate_universes(rec, [-3.0, -1.0], PARAMS, node_epsilon).positions
         report = density_transport_check(rec, ens, ends, PARAMS, node_epsilon)
-        arrays = [a for r in reports for a in (r.times, r.field, r.mask)]
+        arrays = [a for r in reports for a in (r.times, r.sq_per_time)]
         arrays += [ens.positions, ens.stopped_at, report.fractions, report.deviations]
         scalars = [v for r in reports for v in (r.scalar, r.scale)] + [report.expected]
         return arrays, scalars
@@ -459,29 +468,41 @@ class TestRecordPolars:
 
     def test_stack_equals_per_snapshot_decompose(self):
         rec = odd_record()
-        polars = record_polars(rec, PARAMS, 1e-3)
+        polars = decompose(rec, PARAMS, 1e-3)
         assert polars.R.shape == rec.amplitudes.shape and len(polars) == len(rec.snapshots)
         assert polars.node_mask.any()
         for polar, wf in zip(polars, rec.snapshots, strict=True):
             R, phi, mask = loop_decompose(wf, PARAMS, 1e-3)
             assert np.array_equal(polar.R, R) and np.array_equal(polar.phi, phi)
             assert np.array_equal(polar.node_mask, mask)
+        # a window of rows, or one row, has the bits of the same rows of the stack
+        for rows in (slice(0, 3), slice(5, 22), slice(29, None), 4, -1):
+            window = decompose(rec, PARAMS, 1e-3, rows)
+            for name in ("R", "phi", "node_mask"):
+                assert getattr(window, name).tobytes() == getattr(polars, name)[rows].tobytes()
 
-    def test_one_stack_held_per_key(self, calls):
+    def test_one_report_pair_held_per_key(self, decomposed):
         rec = odd_record()
-        first = record_polars(rec, PARAMS)
-        assert record_polars(rec, PARAMS) is first
-        assert record_polars(rec, PhysicalParams(mass=2.0)) is first  # phi does not depend on m
-        assert calls["decompose"] == 1
-        other = record_polars(rec, PARAMS, 1e-3)
-        assert other is not first and record_polars(rec, PARAMS, 1e-3) is other
-        scaled = record_polars(rec, PhysicalParams(hbar=2.0))
-        assert np.array_equal(scaled[3].phi, 2.0 * first[3].phi)
-        assert record_polars(rec, PARAMS) is not first  # only the latest stack was held
-        assert calls["decompose"] == 4
+        V = free_potential(rec.grid)
+        first = continuity_residual(rec, PARAMS)
+        windows = len(decomposed)
+        assert continuity_residual(rec, PARAMS) is first
+        pair = (first, hamilton_jacobi_residual(rec, V, PARAMS))
+        assert len(decomposed) == windows  # one pass computed both
+        assert rec._residuals[0] == (PARAMS, 1e-6) and rec._residuals[1] == pair
+        interior = len(rec.times) - 2
+        for report in pair:  # nothing of shape (T, n) is held
+            for array in (report.times, report.sq_per_time):
+                assert array.shape == (interior,) and not array.flags.writeable
+        heavier = continuity_residual(rec, PhysicalParams(mass=2.0))  # the flux divides by m
+        assert heavier is not first and heavier.scalar != first.scalar
+        other = continuity_residual(rec, PARAMS, 1e-3)
+        assert other is not first and continuity_residual(rec, PARAMS, 1e-3) is other
+        assert continuity_residual(rec, PARAMS) is not first  # only the latest pair was held
+        assert len(decomposed) == 4 * windows
 
     def test_polar_to_csv_refuses_a_stack_before_writing(self, tmp_path):
-        polars = record_polars(odd_record(), PARAMS)
+        polars = decompose(odd_record(), PARAMS)
         path = tmp_path / "polar.csv"
         with pytest.raises(DomainError, match="one snapshot"):
             polar_to_csv(polars, path)
@@ -489,34 +510,42 @@ class TestRecordPolars:
         polar_to_csv(polars[2], path)
         assert len(path.read_text().splitlines()) == 1 + polars.R.shape[1]
 
-    def test_consumers_decompose_each_snapshot_once(self, calls):
-        rec = odd_record()
+    def test_consumers_decompose_each_snapshot_once(self, decomposed):
+        # each consumer decomposes each snapshot once, but for the two snapshots a residual
+        # window shares with the next one, which both windows decompose
+        rec = odd_record()  # 31 snapshots: residual windows of snapshots 0-17 and 16-30
+        T = len(rec.times)
+        assert mvlab.madelung.RESIDUAL_BLOCK == 16 and T == 31
         V = free_potential(rec.grid)
         continuity_residual(rec, PARAMS)
         hamilton_jacobi_residual(rec, V, PARAMS)
-        ens = integrate_universes(rec, stratified_positions(record_polars(rec, PARAMS)[0], 40), PARAMS)
+        residuals = [1] * 16 + [2, 2] + [1] * 13
+        assert self.per_snapshot(decomposed, T) == (residuals, 0)
+        ens = integrate_universes(rec, stratified_positions(decompose(rec.snapshots[0], PARAMS), 40), PARAMS)
         ends = integrate_universes(rec, [-3.0, -1.0], PARAMS).positions
-        density_transport_check(rec, ens, ends, PARAMS)
-        assert calls["decompose"] == 1
+        density_transport_check(rec, ens, ends, PARAMS)  # reads snapshot 0 alone
+        assert self.per_snapshot(decomposed, T) == ([residuals[0] + 3] + [c + 2 for c in residuals[1:]], 0)
 
-    def test_cli_universes_decomposes_each_snapshot_once(self, calls, tmp_path):
+    def test_cli_universes_decomposes_each_snapshot_once(self, decomposed, tmp_path):
         config = Path(__file__).resolve().parent.parent / "configs" / "universes.json"
         parameters = json.loads(config.read_text())
         parameters.pop("experiment")
         assert run("universes", parameters, tmp_path, quiet=True) == EXIT_OK
-        assert calls["decompose"] == 1
+        # the initial packet for the starts, the flow's one pass, and snapshot 0 for the transport check
+        T = parameters["n_steps"] // parameters["snapshot_stride"] + 1
+        assert self.per_snapshot(decomposed, T) == ([2] + [1] * (T - 1), 1)
 
     def test_reused_record_matches_fresh(self):
         rec = odd_record()
         self.outputs(rec)
         self.assert_same(self.outputs(rec), self.outputs(odd_record()))
-        # another node_epsilon rebuilds the held stack, and back again
+        # another node_epsilon rebuilds the held pair, and back again
         self.assert_same(self.outputs(rec, 1e-3), self.outputs(odd_record(), 1e-3))
         self.assert_same(self.outputs(rec), self.outputs(odd_record()))
 
     def test_stack_indexing(self):
         rec = odd_record()
-        polars = record_polars(rec, PARAMS)
+        polars = decompose(rec, PARAMS)
         assert len(polars) == len(rec.times) and polars[-1].R.shape == (rec.grid.n_points,)
         single = polars[0]
         with pytest.raises(TypeError):
@@ -553,10 +582,21 @@ def odd_case():
     return rec, free_potential(rec.grid)
 
 
-def assert_reports_equal(reports, expected):
-    """Residual reports bit for bit equal to an oracle's (times, field, mask, scalar, scale) tuples."""
-    for report, (times, field, mask, scalar, scale) in zip(reports, expected, strict=True):
-        for got, want in ((report.times, times), (report.field, field), (report.mask, mask)):
+def pointwise(rec, node_epsilon):
+    """(field, mask) per residual, continuity first, as the streamed pass yields them window by
+    window: field is the residual with NaN where mask is set, as the oracles lay it out."""
+    windows = list(mvlab.madelung._residual_windows(rec, PARAMS, node_epsilon))
+    return [(np.concatenate([np.where(keep, pair[k][0], np.nan) for keep, *pair in windows]),
+             np.concatenate([~keep for keep, *_ in windows])) for k in (0, 1)]
+
+
+def assert_reports_equal(rec, node_epsilon, reports, expected):
+    """Residual reports, and the pass's pointwise residuals, bit for bit equal to an oracle's
+    (times, field, mask, sq_per_time, scalar, scale) tuples."""
+    for report, (field, mask), want in zip(reports, pointwise(rec, node_epsilon), expected, strict=True):
+        times, want_field, want_mask, sq_per_time, scalar, scale = want
+        for got, want in ((report.times, times), (field, want_field), (mask, want_mask),
+                          (report.sq_per_time, sq_per_time)):
             assert got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
         assert report.scalar == scalar and report.scale == scale
 
@@ -575,10 +615,10 @@ def residual_pair(rec, V, node_epsilon):
 def test_stacked_residuals_equal_the_per_snapshot_loop(case, node_epsilon):
     rec, V = case()
     reports = residual_pair(rec, V, node_epsilon)
-    assert_reports_equal(reports, per_snapshot_residual_pair(rec, V, PARAMS, node_epsilon))
-    assert_reports_equal(reports, whole_stack_residual_pair(rec, V, PARAMS, node_epsilon))
-    for report in reports:
-        assert report.mask.any() and not report.mask.all()  # both branches of the mask are exercised
+    assert_reports_equal(rec, node_epsilon, reports, per_snapshot_residual_pair(rec, V, PARAMS, node_epsilon))
+    assert_reports_equal(rec, node_epsilon, reports, whole_stack_residual_pair(rec, V, PARAMS, node_epsilon))
+    for _, mask in pointwise(rec, node_epsilon):
+        assert mask.any() and not mask.all()  # both branches of the mask are exercised
 
 
 def unit_rows_record(grid, amplitudes, dt=1e-3):
@@ -601,9 +641,9 @@ def test_blocks_of_three_equal_the_whole_stack(monkeypatch, interior, boundary, 
     for rec in (odd, unit_rows_record(g, amps)):
         V = rec.potential
         reports = residual_pair(rec, V, node_epsilon)
-        assert reports[0].field.shape == (interior, g.n_points)
-        assert_reports_equal(reports, whole_stack_residual_pair(rec, V, PARAMS, node_epsilon))
-        assert_reports_equal(reports, per_snapshot_residual_pair(rec, V, PARAMS, node_epsilon))
+        assert pointwise(rec, node_epsilon)[0][0].shape == (interior, g.n_points)
+        for oracle in (whole_stack_residual_pair, per_snapshot_residual_pair):
+            assert_reports_equal(rec, node_epsilon, reports, oracle(rec, V, PARAMS, node_epsilon))
 
 
 @st.composite
@@ -619,32 +659,44 @@ def records_with_zeros(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(records_with_zeros(), st.integers(1, 9), st.sampled_from([1e-6, 1e-3, 0.1]))
-def test_any_block_size_equals_the_whole_stack(rec, block, node_epsilon):
+@given(records_with_zeros(), st.data(), st.sampled_from([1e-6, 1e-3, 0.1]))
+def test_any_block_size_equals_the_whole_stack(rec, data, node_epsilon):
+    block = data.draw(st.integers(1, len(rec.times)), label="RESIDUAL_BLOCK")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mvlab.madelung, "RESIDUAL_BLOCK", block)
         reports = residual_pair(rec, rec.potential, node_epsilon)
-    assert_reports_equal(reports, whole_stack_residual_pair(rec, rec.potential, PARAMS, node_epsilon))
+        for oracle in (whole_stack_residual_pair, per_snapshot_residual_pair):
+            assert_reports_equal(rec, node_epsilon, reports, oracle(rec, rec.potential, PARAMS, node_epsilon))
+
+
+def peak_bytes(fn):
+    """fn's result and the tracemalloc peak while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
 def test_residual_peak_memory_is_the_report_and_a_few_blocks(boundary):
-    # 199 interior rows: the blocked pass peaks about 7 block-sized temporaries above its
-    # report, where whole-stack temporaries cost 34 to 43 of them
+    # the pass holds one window of polar rows and its temporaries, about 15 window-sized arrays,
+    # whatever the record's length; the (T, n) polar stack and (T-2, n) field and mask it
+    # replaced grew with T
     g = SpatialGrid(-16.0, 16.0, 1024, boundary)
     V = free_potential(g)
-    rec = evolve_schrodinger(make_gaussian_packet(g, 0.0, 1.0, 0.5, PARAMS), V, PARAMS, 1e-3, 200,
-                             snapshot_stride=1)
-    record_polars(rec, PARAMS)  # the cached stack is the record's, not the residual's
     block_bytes = (mvlab.madelung.RESIDUAL_BLOCK + 2) * g.n_points * 8
-    for residual in (lambda: continuity_residual(rec, PARAMS), lambda: hamilton_jacobi_residual(rec, V, PARAMS)):
-        tracemalloc.start()
-        try:
-            report = residual()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < report.field.nbytes + report.mask.nbytes + 10 * block_bytes
+    peaks = []
+    for T in (101, 401):
+        rec = evolve_schrodinger(make_gaussian_packet(g, 0.0, 1.0, 0.5, PARAMS), V, PARAMS, 1e-3, T - 1,
+                                 snapshot_stride=1)
+        report, peak = peak_bytes(lambda: continuity_residual(rec, PARAMS))
+        assert hamilton_jacobi_residual(rec, V, PARAMS).times is rec._residuals[1][1].times
+        assert report.sq_per_time.nbytes == (T - 2) * 8
+        assert peak < 20 * block_bytes
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] < block_bytes  # 300 more snapshots add only their per-time sums
 
 
 @st.composite

@@ -29,7 +29,8 @@ from mvlab.fields import (
     make_plane_wave,
     normalize,
 )
-from mvlab.madelung import decompose, record_polars
+import mvlab.universes
+from mvlab.madelung import decompose
 from mvlab.universes import (
     VELOCITY_BLOCK,
     TrajectoryEnsemble,
@@ -199,6 +200,43 @@ class TestOnePass:
     @settings(max_examples=30, deadline=None)
     @given(
         boundary=st.sampled_from(["periodic", "dirichlet"]),
+        block=st.integers(1, 41),  # up to T: colliding_record has 41 snapshots
+        node_epsilon=st.sampled_from([1e-6, 1e-2]),
+        starts=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=12),
+    )
+    def test_any_block_size_equals_the_per_snapshot_loop(self, boundary, block, node_epsilon, starts):
+        rec = colliding_record(boundary)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mvlab.universes, "VELOCITY_BLOCK", block)
+            ens = integrate_universes(rec, starts, PARAMS, node_epsilon)
+        positions, stopped_at = per_snapshot_universes(rec, starts, PARAMS, node_epsilon)
+        assert ens.positions.tobytes() == positions.tobytes()
+        assert ens.stopped_at.tobytes() == stopped_at.tobytes()
+
+    @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+    def test_peak_memory_is_the_positions_and_a_few_blocks(self, boundary):
+        # a block of VELOCITY_BLOCK snapshots is decomposed into its velocity, about 8.5
+        # block-sized arrays at the peak, whatever the record's length; a held (T, n) polar
+        # stack grew with T
+        g = SpatialGrid(-16.0, 16.0, 1024, boundary)
+        block_bytes = VELOCITY_BLOCK * g.n_points * 8
+        extra = []
+        for T in (101, 401):
+            rec = evolve_schrodinger(make_gaussian_packet(g, 0.0, 1.0, 0.5, PARAMS), free_potential(g), PARAMS,
+                                     1e-3, T - 1, snapshot_stride=1)
+            tracemalloc.start()
+            try:
+                ens = integrate_universes(rec, np.linspace(-2.0, 2.0, 200), PARAMS)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - ens.positions.nbytes)
+            assert extra[-1] < 12 * block_bytes
+        assert abs(extra[1] - extra[0]) < block_bytes
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        boundary=st.sampled_from(["periodic", "dirichlet"]),
         node_epsilon=st.sampled_from([1e-6, 1e-2]),
         starts=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=12),
         ends=st.lists(st.floats(-6.0, 6.0), min_size=2, max_size=2),
@@ -343,7 +381,7 @@ class TestStratifiedPositions:
         assert np.max(np.abs(at_samples - expected)) < 2e-3
 
     def test_needs_one_snapshot(self):
-        polars = record_polars(colliding_record("periodic"), PARAMS)
+        polars = decompose(colliding_record("periodic"), PARAMS)
         with pytest.raises(DomainError, match="one snapshot"):
             stratified_positions(polars, 10)
         assert stratified_positions(polars[0], 10).shape == (10,)
@@ -438,7 +476,7 @@ def test_out_of_range_input_refused(call, message):
 def test_every_record_is_time_major():
     """Row s of every record array is the state at times[s]; M, n and T all differ here."""
     rec = colliding_record("periodic")
-    polars = record_polars(rec, PARAMS)
+    polars = decompose(rec, PARAMS)
     bohmian = integrate_universes(rec, [-4.0, -3.0, 3.0], PARAMS)
     classical = classical_ensemble_evolve([-2.0, -1.0, 0.0, 1.0, 2.0], np.zeros(5),
                                           free_potential(rec.grid), PARAMS, 0.1, 7)
