@@ -12,6 +12,9 @@ importing mvlab loads no scipy at all. The trajectory flows, Bohmian and
 classical, live in mvlab.universes, which this module does not import.
 An EvolutionRecord holds its snapshots as one (T, n) array, validated once, and
 no other (T, n) array: madelung streams its polar decomposition.
+Each stepper is a pure kernel, factory(grid, V, params, dt) -> step(psi), that
+checks only the operator it builds; evolve_schrodinger owns the stride (_stride),
+the one loop and the refusal of a recorded row that is not finite.
 """
 
 from __future__ import annotations
@@ -79,18 +82,29 @@ class EvolutionRecord:
         return tuple(GridWavefunction(self.grid, row) for row in self.amplitudes)
 
 
-def _auto_stride(n_steps: int) -> int:
-    """The least divisor of n_steps >= 1 with n_steps // stride <= MAX_DEFAULT_SNAPSHOTS."""
-    target = -(-n_steps // MAX_DEFAULT_SNAPSHOTS)  # ceil division
-    return next(stride for stride in range(target, n_steps + 1) if n_steps % stride == 0)
-
-
 def _check_steps(dt: float, n_steps: int) -> None:
-    """Refuse a step dt that is not positive or a negative n_steps: the one rule of every flow."""
-    if not (dt > 0.0):
-        raise DomainError(f"dt must be positive, got {dt}")
+    """Refuse a step dt outside 0 < dt < inf or a negative n_steps: the one rule of every flow."""
+    if not (0.0 < dt < math.inf):
+        raise DomainError(f"dt must be positive and finite, got {dt}")
     if n_steps < 0:
         raise DomainError(f"n_steps must be nonnegative, got {n_steps}")
+
+
+def _stride(n_steps: int, snapshot_stride: int | None) -> int:
+    """A given stride once it is >= 1 and divides n_steps, else the least divisor of n_steps
+    with at most MAX_DEFAULT_SNAPSHOTS intervals, over divisor pairs to isqrt(n_steps)."""
+    if snapshot_stride is not None:
+        if snapshot_stride < 1:
+            raise DomainError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
+        if n_steps > 0 and n_steps % snapshot_stride != 0:
+            raise DomainError(
+                f"snapshot_stride={snapshot_stride} must divide n_steps={n_steps} "
+                "so snapshot times stay uniform"
+            )
+        return snapshot_stride
+    least = -(-n_steps // MAX_DEFAULT_SNAPSHOTS)  # ceil division
+    pairs = ((d, n_steps // d) for d in range(1, math.isqrt(n_steps) + 1) if n_steps % d == 0)
+    return min((m for pair in pairs for m in pair if m >= least), default=1)  # 1 at n_steps = 0
 
 
 def evolve_schrodinger(
@@ -106,7 +120,8 @@ def evolve_schrodinger(
     Periodic grids use Strang splitting (half potential kick, exact spectral
     kinetic step, half kick); dirichlet grids use Crank-Nicolson. Guard:
     dt*max|V|/hbar must stay below 0.5 or the potential phase per step is
-    unresolved.
+    unresolved. _stride decides the stride; each recorded row is refused,
+    naming its time, if not finite, so a bad run stops within stride steps.
     """
     grid = wf0.grid
     if V.grid != grid:
@@ -117,31 +132,20 @@ def evolve_schrodinger(
         raise StabilityError(
             f"dt*max|V|/hbar = {dt * v_max / params.hbar:.3g} >= 0.5; reduce dt"
         )
-    if snapshot_stride is None:
-        stride = _auto_stride(n_steps) if n_steps > 0 else 1
-    else:
-        stride = snapshot_stride
-        if stride < 1:
-            raise DomainError(f"snapshot_stride must be >= 1, got {stride}")
-        if n_steps > 0 and n_steps % stride != 0:
-            raise DomainError(
-                f"snapshot_stride={stride} must divide n_steps={n_steps} "
-                "so snapshot times stay uniform"
-            )
+    stride = _stride(n_steps, snapshot_stride)
 
     amplitudes = np.empty((n_steps // stride + 1, grid.n_points), dtype=np.complex128)
     psi = amplitudes[0] = wf0.amplitudes
-    if n_steps > 0:
-        step = (
-            _split_step_stepper(grid, V, params, dt)
-            if grid.boundary == "periodic"
-            else _crank_nicolson_stepper(grid, V, params, dt, stride)
-        )
-        for k in range(1, n_steps + 1):
-            psi = step(psi)
-            if k % stride == 0:
-                amplitudes[k // stride] = psi
     times = np.arange(len(amplitudes)) * (dt * stride)
+    if n_steps > 0:
+        stepper = _split_step_stepper if grid.boundary == "periodic" else _crank_nicolson_stepper
+        step = stepper(grid, V, params, dt)
+        for s in range(1, len(amplitudes)):
+            for _ in range(stride):
+                psi = step(psi)
+            if not np.isfinite(psi).all():
+                raise DomainError(f"the evolved state is not finite at t={times[s]}")
+            amplitudes[s] = psi
     return EvolutionRecord(V, times, amplitudes)
 
 
@@ -227,10 +231,9 @@ def _gttr():
     return flapack.zgttrf, flapack.zgttrs
 
 
-def _crank_nicolson_stepper(grid, V, params, dt, stride=1):
+def _crank_nicolson_stepper(grid, V, params, dt):
     # H = -(hbar^2/2m) D2 + V with zero ghosts just outside the stored points;
-    # (1 + r H) psi' = (1 - r H) psi, the left matrix LU-factored once; finiteness is checked
-    # once for the operator and at each recorded (stride-th) step for the state
+    # (1 + r H) psi' = (1 - r H) psi, the left matrix LU-factored once
     denominator = 2.0 * params.mass * grid.dx**2
     c = params.hbar**2 / denominator if denominator > 0.0 else math.inf  # mass*dx**2 may underflow
     if not (0.0 < c < math.inf):
@@ -241,24 +244,16 @@ def _crank_nicolson_stepper(grid, V, params, dt, stride=1):
     diag = 2.0 * c + V.values
     r = 1j * dt / (2.0 * params.hbar)
     off = np.full(grid.n_points - 1, -r * c, dtype=np.complex128)
-    main = 1.0 + r * diag
-    finite = bool(np.isfinite(main).all() and np.isfinite(off).all())
     gttrf, gttrs = _gttr()
-    dl, d, du, du2, ipiv, info = gttrf(off, main, off)
+    dl, d, du, du2, ipiv, info = gttrf(off, 1.0 + r * diag, off)
     if info != 0:
         raise DomainError(f"Crank-Nicolson factorisation failed (LAPACK gttrf info={info})")
-    taken = 0
 
     def step(psi):
-        nonlocal taken
         h_psi = diag * psi
         h_psi[:-1] -= c * psi[1:]
         h_psi[1:] -= c * psi[:-1]
-        rhs = psi - r * h_psi
-        taken += 1
-        if taken % stride == 0 and not (finite and np.isfinite(rhs).all()):
-            raise DomainError("Crank-Nicolson right-hand side is not finite (state, dt, hbar or dx)")
-        x, info = gttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=True)
+        x, info = gttrs(dl, d, du, du2, ipiv, psi - r * h_psi, overwrite_b=True)
         if info != 0:
             raise DomainError(f"Crank-Nicolson solve failed (LAPACK gttrs info={info})")
         return x

@@ -10,8 +10,9 @@ is the CSV format written out one field at a time; tree_csv_bytes,
 evolution_csv_bytes, trajectories_csv_bytes and classical_csv_bytes are the
 branch tree's and the per-snapshot tables' CSVs one row at a time;
 per_n_convergence the sampled convergence rows
-drawn from a fresh Philox stream per N, and loop_node_zone the node zone built
-one point at a time.
+drawn from a fresh Philox stream per N, loop_node_zone the node zone built
+one point at a time, and linear_scan_stride the default snapshot stride found
+by trying every candidate in turn.
 """
 
 import math
@@ -415,3 +416,12 @@ def per_n_convergence(ns, p: float, seed: int) -> list[tuple]:
         variance = p * (1.0 - p) / n
         rows.append((n, f, abs(f - p), 3.0 * math.sqrt(variance), variance))
     return rows
+
+
+def linear_scan_stride(n_steps: int, cap: int) -> int:
+    """The least divisor of n_steps with at most cap intervals, tried upwards from
+    ceil(n_steps / cap) one candidate at a time; 1 at n_steps = 0."""
+    if n_steps == 0:
+        return 1
+    target = -(-n_steps // cap)
+    return next(stride for stride in range(target, n_steps + 1) if n_steps % stride == 0)

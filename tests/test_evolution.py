@@ -1,5 +1,6 @@
 import hashlib
 import importlib.machinery
+import math
 import os
 import re
 import subprocess
@@ -14,11 +15,16 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from corpus import corpus
-from oracles import coherent_state, discrete_harmonic_ground_state, free_gaussian
+from oracles import (
+    coherent_state,
+    discrete_harmonic_ground_state,
+    free_gaussian,
+    linear_scan_stride,
+)
 
 from mvlab import evolution
 from mvlab.errors import DomainError, StabilityError
-from mvlab.evolution import EvolutionRecord, _crank_nicolson_stepper, evolve_schrodinger
+from mvlab.evolution import EvolutionRecord, evolve_schrodinger
 from mvlab.fields import (
     GridWavefunction,
     PhysicalParams,
@@ -289,25 +295,56 @@ class TestFftBitContract:
         assert_fft_route_is_numpy(scale * random_state(n, seed))
 
 
+def poisoned(factory, bad, at, taken):
+    """A stepper factory whose step sets a point of its state to bad at step `at`, appending
+    each state it returns to the list `taken`."""
+
+    def make(*args):
+        step = factory(*args)
+
+        def poisoned_step(psi):
+            psi = step(psi)
+            taken.append(psi)
+            if len(taken) == at:
+                psi[17] = bad
+            return psi
+
+        return poisoned_step
+
+    return make
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestCrankNicolsonFailsClosed:
-    def stepper(self):
-        g = SpatialGrid(-8.0, 8.0, 64, "dirichlet")
-        return _crank_nicolson_stepper(g, free_potential(g), PARAMS, 1e-3), g
+    """A run that goes non-finite is refused at its next recorded row, naming the row's time;
+    Crank-Nicolson's operator and its LAPACK calls are checked where they are built and run."""
 
+    # evolve_schrodinger checks each recorded row, on both boundaries, before storing it
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
-    def test_non_finite_state_refused(self, bad):
-        step, g = self.stepper()
-        psi = make_gaussian_packet(g, 0.0, 1.0, 0.0, PARAMS).amplitudes.copy()
-        psi[17] = bad
-        with pytest.raises(DomainError, match="not finite"):
-            step(psi)
+    def test_non_finite_state_refused(self, monkeypatch, bad):
+        stride, n_steps, dt = 4, 24, 1e-3
+        for boundary, factory in [("periodic", "_split_step_stepper"),
+                                  ("dirichlet", "_crank_nicolson_stepper")]:
+            g = SpatialGrid(-8.0, 8.0, 64, boundary)
+            wf0 = make_gaussian_packet(g, 0.0, 1.0, 0.0, PARAMS)
+            times = evolve_schrodinger(wf0, free_potential(g), PARAMS, dt, n_steps, stride).times
+            for at in (1, 3, 4, 5, 24):
+                taken = []
+                with monkeypatch.context() as patch:
+                    patch.setattr(evolution, factory,
+                                  poisoned(getattr(evolution, factory), bad, at, taken))
+                    row = -(-at // stride)  # the first recorded row at or after step `at`
+                    with pytest.raises(DomainError, match=re.escape(f"not finite at t={times[row]}")):
+                        evolve_schrodinger(wf0, free_potential(g), PARAMS, dt, n_steps, stride)
+                assert len(taken) == row * stride < at + stride
 
+    # r = i*dt/(2*hbar) overflows, so the operator is not finite; dt*max|V|/hbar is 0
     def test_non_finite_operator_refused(self):
         g = SpatialGrid(-8.0, 8.0, 64, "dirichlet")
-        step = _crank_nicolson_stepper(g, free_potential(g), PARAMS, np.inf)
-        with pytest.raises(DomainError, match="not finite"):
-            step(make_gaussian_packet(g, 0.0, 1.0, 0.0, PARAMS).amplitudes)
+        params = PhysicalParams(hbar=1e-150)
+        wf0 = make_gaussian_packet(g, 0.0, 1.0, 0.0, params)
+        with pytest.raises(DomainError, match="not finite at t="):
+            evolve_schrodinger(wf0, free_potential(g), params, 1e200, 10, 5)
 
     # gttrf reports a singular factor with info > 0, either routine a bad argument with info < 0
     @pytest.mark.parametrize("routine, info", [("gttrf", 3), ("gttrf", -2), ("gttrs", -6)])
@@ -419,6 +456,13 @@ class TestGuards:
         with pytest.raises(StabilityError):
             evolve_schrodinger(wf0, V, PARAMS, 1e-2, 10)
 
+    def test_infinite_step_refused(self):
+        # dt*max|V|/hbar would be inf*0 = nan, which the stability guard alone lets through
+        g = SpatialGrid(-16.0, 16.0, 256)
+        wf0 = make_gaussian_packet(g, 0.0, 1.0, 0.0, PARAMS)
+        with pytest.raises(DomainError, match="dt must be positive and finite, got inf"):
+            evolve_schrodinger(wf0, free_potential(g), PARAMS, np.inf, 10)
+
     def test_stride_must_divide_steps(self):
         g = SpatialGrid(-16.0, 16.0, 256)
         wf0 = make_gaussian_packet(g, 0.0, 1.0, 0.0, PARAMS)
@@ -442,6 +486,56 @@ class TestGuards:
         wf0 = make_gaussian_packet(g, 0.0, 3.0, 0.0, PARAMS)
         rec = evolve_schrodinger(wf0, free_potential(g), PARAMS, 1e-3, 2000)
         assert len(rec.snapshots) <= 513
+
+
+def primes_below(n):
+    sieve = np.ones(n, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    return np.flatnonzero(sieve).tolist()
+
+
+PRIMES = primes_below(200_000)
+PRIME_POWERS = [p**k for p in PRIMES[:40] for k in range(2, 20) if p**k <= 10**6]
+CAP = evolution.MAX_DEFAULT_SNAPSHOTS
+
+
+class TestStride:
+    """_stride, a search over divisor pairs, gives the linear scan's stride and its refusals."""
+
+    def test_every_n_steps_to_5000(self):
+        for n_steps in range(5001):
+            assert evolution._stride(n_steps, None) == linear_scan_stride(n_steps, CAP)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_steps=st.one_of(
+        st.integers(0, 200_000),
+        st.sampled_from(PRIMES),
+        st.sampled_from(PRIME_POWERS),
+    ))
+    def test_drawn_n_steps(self, n_steps):
+        assert evolution._stride(n_steps, None) == linear_scan_stride(n_steps, CAP)
+
+    # n_steps = multiple*stride + offset: a stride divides it when the offset is 0
+    @settings(max_examples=200, deadline=None)
+    @given(stride=st.integers(-3, 10**4), multiple=st.integers(0, 10**3),
+           offset=st.one_of(st.just(0), st.integers(1, 10**4)))
+    def test_given_strides(self, stride, multiple, offset):
+        n_steps = multiple * abs(stride) + offset
+        if stride < 1:
+            with pytest.raises(DomainError, match=f"snapshot_stride must be >= 1, got {stride}"):
+                evolution._stride(n_steps, stride)
+        elif n_steps % stride:
+            with pytest.raises(DomainError, match=f"snapshot_stride={stride} must divide"):
+                evolution._stride(n_steps, stride)
+        else:
+            assert evolution._stride(n_steps, stride) == stride
+
+    def test_prime_near_1e9_records_two_rows(self):
+        n_steps = 999_999_937
+        assert n_steps // evolution._stride(n_steps, None) + 1 == 2
 
 
 class TestRecord:

@@ -302,9 +302,11 @@ class TestClassicalFlow:
 
     # the step rule evolve_schrodinger applies, shared
     @pytest.mark.parametrize("dt, n_steps, message", [
-        (0.0, 10, "dt must be positive, got 0.0"), (-1e-3, 10, "dt must be positive"),
-        (float("nan"), 10, "dt must be positive, got nan"), (1e-2, -1, "n_steps must be nonnegative, got -1"),
-    ], ids=["zero-dt", "negative-dt", "nan-dt", "negative-n_steps"])
+        (0.0, 10, "dt must be positive and finite, got 0.0"), (-1e-3, 10, "dt must be positive"),
+        (float("nan"), 10, "dt must be positive and finite, got nan"),
+        (float("inf"), 10, "dt must be positive and finite, got inf"),
+        (1e-2, -1, "n_steps must be nonnegative, got -1"),
+    ], ids=["zero-dt", "negative-dt", "nan-dt", "inf-dt", "negative-n_steps"])
     def test_rejects_a_bad_step(self, dt, n_steps, message):
         g = SpatialGrid(-10.0, 10.0, 256)
         with pytest.raises(DomainError, match=message):
