@@ -17,17 +17,19 @@ tree holds only N + 1 distinct weights.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, _shown
 from .fields import LazyBlocks, _csv_text, _freeze, write_csv
 
 ENUMERATION_CAP = 20
 _EXACT_COMB_LIMIT = 400  # beyond this the binomial coefficient leaves float range
 _CSV_CHUNK_ROWS = 2**12  # rows per CSV block: bounds the text held in memory
+_DRAW_BLOCK = 2**16  # Philox draws per block of convergence_demo: bounds the draws held in memory
 
 
 def _checked(N: int, p) -> float:
@@ -280,15 +282,20 @@ def sample_observer_branch(N: int, p: float, seed: int):
     give identical sequences. Returns (BranchSequence, empirical frequency).
     """
     p = _checked(N, p)
-    seq = BranchSequence(tuple((_observer_draws(N, seed) < p).tolist()))
+    seq = BranchSequence(tuple((_observer_stream(seed).random(N) < p).tolist()))
     return seq, seq.aligned_count / N
 
 
-def _observer_draws(N: int, seed: int) -> np.ndarray:
-    """The N uniform Philox draws behind sample_observer_branch; aligned where < p."""
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
-    return np.random.Generator(np.random.Philox(seed)).random(N)
+def _is_int(value) -> bool:
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _observer_stream(seed: int) -> np.random.Generator:
+    """The observer's Philox stream keyed by seed: its k-th uniform draw is aligned where < p."""
+    if not _is_int(seed) or seed < 0:
+        raise DomainError(f"seed must be an integer >= 0, got {_shown(seed)}")
+    return np.random.Generator(np.random.Philox(seed))
 
 
 @dataclass(frozen=True)
@@ -303,19 +310,31 @@ class ConvergenceRow:
 def convergence_demo(N_values, p: float, seed: int) -> list[ConvergenceRow]:
     """Sampled |f - p| against the exact 3*sqrt(pq/N) envelope, per N.
 
-    One Philox stream of max(N) draws serves every N: the observer's first n
-    draws are bitwise sample_observer_branch(n, p, seed)'s, since random(n)
-    is a prefix of random(N) for one seed.
+    One Philox stream serves every N. It is drawn in blocks of at most
+    _DRAW_BLOCK uniforms into one reused buffer, each block ending at the
+    next N at the latest, and the aligned draws are counted as the stream
+    passes; so the memory held is one block whatever max(N) is. Consecutive
+    random() calls on one generator continue one stream, so the first n
+    draws are bitwise sample_observer_branch(n, p, seed)'s.
     """
-    ns = [int(n) for n in N_values]
-    if len(ns) < 1 or ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
+    ns = list(N_values)
+    if (len(ns) < 1 or not all(map(_is_int, ns)) or ns[0] < 1
+            or any(b <= a for a, b in zip(ns, ns[1:]))):
         raise DomainError("N_values must be an increasing sequence of integers >= 1")
     p = _checked(ns[0], p)  # the Ns increase, so the first is the least
     q = 1.0 - p
-    draws = _observer_draws(ns[-1], seed)
+    stream = _observer_stream(seed)
+    draws = np.empty(min(ns[-1], _DRAW_BLOCK))
+    drawn = aligned = 0
     rows = []
     for n in ns:
-        f = np.count_nonzero(draws[:n] < p) / n
+        n = int(n)
+        while drawn < n:
+            size = min(n - drawn, draws.size)
+            stream.random(out=draws[:size])
+            aligned += np.count_nonzero(draws[:size] < p)
+            drawn += size
+        f = aligned / n
         variance = p * q / n
         rows.append(ConvergenceRow(n, f, abs(f - p), 3.0 * math.sqrt(variance), variance))
     return rows
@@ -333,22 +352,26 @@ def branch_tree_to_csv(tree: BranchTree, path) -> None:
     """Write columns sequence_bits,r,weight with LF line endings.
 
     Blocks hold 2^low rows, the largest power of two within _CSV_CHUNK_ROWS,
-    so each block's bit strings are one shared low-bit table plus a suffix.
-    A block formats each distinct value once, through fields._csv_text: r
-    from the texts of 0..N, a weight from each distinct float64 bit pattern
-    (an enumerated tree has N + 1). Keying on the bits keeps -0.0 apart from
-    0.0, so the bytes are those of one repr per row for any tree.
+    so each block's bit strings are one shared low-bit table plus a suffix,
+    and each row's r is its low bits' count plus the suffix's. So the r
+    column of a block is one of N - low + 1 lists, built once from the 2^low
+    count table and looked up by the suffix's popcount: the 2^N counts are
+    never held. A block formats each distinct weight once, through
+    fields._csv_text, keyed on its float64 bit pattern (an enumerated tree
+    has N + 1). Keying on the bits keeps -0.0 apart from 0.0, so the bytes
+    are those of one repr per row for any tree.
     """
     low = min(tree.N, _CSV_CHUNK_ROWS.bit_length() - 1)
     low_bits, suffixes, size = _bit_strings(low), _bit_strings(tree.N - low), 2**low
-    counts, r_texts = tree.aligned_counts(), _csv_text(np.arange(tree.N + 1))
+    low_counts, r_texts = _popcounts(low).tolist(), _csv_text(np.arange(tree.N + 1))
+    r_columns = [list(map(r_texts[c:].__getitem__, low_counts)) for c in range(tree.N - low + 1)]
     weight_bits = tree.weights.view(np.int64)
 
     def block(b):
         rows = slice(b * size, (b + 1) * size)
         keys, which = np.unique(weight_bits[rows], return_inverse=True)
         w_texts = _csv_text(keys.view(np.float64))
-        r_column = list(map(r_texts.__getitem__, counts[rows].tolist()))
+        r_column = r_columns[b.bit_count()]  # the suffix's popcount
         return [s + suffixes[b] for s in low_bits], r_column, list(map(w_texts.__getitem__, which.tolist()))
 
     write_csv(path, "sequence_bits,r,weight", LazyBlocks(len(suffixes), block))

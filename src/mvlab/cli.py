@@ -331,8 +331,9 @@ class Experiment(NamedTuple):
 
     `size(p)` is the bytes of the run's largest arrays, from its validated parameters alone:
     a wave snapshot is 16 B per grid point, a trajectory table 8 B per trajectory per recorded
-    time, a sampled column 8 B per value. No (T, n) polar stack is held: a record is decomposed
-    a few snapshots at a time.
+    time. No (T, n) polar stack is held: a record is decomposed a few snapshots at a time.
+    convergence holds one block of draws whatever its largest N, so its 8 B per draw bounds
+    the draw count, the run's work, until a work budget exists.
     """
     schema: list[Param]
     size: Callable[[dict], int]

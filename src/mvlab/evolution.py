@@ -241,6 +241,15 @@ def _crank_nicolson_stepper(grid, V, params, dt):
             f"the Crank-Nicolson coupling hbar**2/(2*mass*dx**2) is zero or not finite "
             f"(hbar={params.hbar}, mass={params.mass}, dx={grid.dx})"
         )
+    # |r| = dt/(2*hbar) times H's extreme entries (c off the diagonal, 2c + min V and 2c + max V
+    # on it), in Python floats (they overflow to inf without a numpy warning)
+    rate = dt / (2.0 * params.hbar)
+    extremes = (c, 2.0 * c + float(np.min(V.values)), 2.0 * c + float(np.max(V.values)))
+    if not all(math.isfinite(rate * e) for e in extremes):
+        raise DomainError(
+            f"the Crank-Nicolson operator dt/(2*hbar)*H is not finite (dt={dt}, "
+            f"hbar={params.hbar}, mass={params.mass}, dx={grid.dx}, max|V|={np.max(np.abs(V.values))})"
+        )
     diag = 2.0 * c + V.values
     r = 1j * dt / (2.0 * params.hbar)
     off = np.full(grid.n_points - 1, -r * c, dtype=np.complex128)

@@ -1,6 +1,7 @@
 import math
 import os
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -302,7 +303,7 @@ class TestConvergenceDemo:
                 sample_observer_branch(n, p, COMMITTED_SEED)[1] for n in ns
             ]
 
-    # one stream drawn at the largest N serves every N: each row is bitwise the per-N draw's
+    # one stream drawn block by block serves every N: each row is bitwise the per-N draw's
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), p=st.floats(0.0, 1.0),
            ns=st.lists(st.integers(1, 5000), min_size=1, max_size=6, unique=True).map(sorted))
@@ -310,15 +311,55 @@ class TestConvergenceDemo:
         rows = convergence_demo(ns, p, seed)
         assert [(r.N, r.f, r.abs_err, r.envelope, r.variance) for r in rows] == per_n_convergence(ns, p, seed)
 
+    # blocks of 7 draws, so the Ns fall inside, on and across block edges
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), p=st.floats(0.0, 1.0),
+           ns=st.lists(st.integers(1, 300), min_size=1, max_size=8, unique=True).map(sorted))
+    def test_small_blocks_equal_a_fresh_stream_per_n(self, seed, p, ns):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(branchstats, "_DRAW_BLOCK", 7)
+            rows = convergence_demo(ns, p, seed)
+        assert [(r.N, r.f, r.abs_err, r.envelope, r.variance) for r in rows] == per_n_convergence(ns, p, seed)
+
+    # one block of draws is held, not max(N): 10**6 draws held at once would be about 9 MiB
+    def test_memory_is_one_block(self):
+        convergence_demo([1], 0.5, COMMITTED_SEED)  # a first call imports numpy.random
+        tracemalloc.start()
+        try:
+            convergence_demo([10**6], 0.5, COMMITTED_SEED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20, peak
+
     def test_rejects_empty_branch(self):
         with pytest.raises(DomainError):
             convergence_demo([0, 10], 0.5, COMMITTED_SEED)
+
+    # before, 10.9 ran as 10, "100" as 100 and True as 1
+    @pytest.mark.parametrize("ns", [[10.9, 20], [10.0], ["100"], [True, 5], [1, 2.5], [None]])
+    def test_rejects_non_integer_ns(self, ns):
+        with pytest.raises(DomainError, match="N_values must be an increasing sequence of integers >= 1"):
+            convergence_demo(ns, 0.5, COMMITTED_SEED)
+
+    def test_accepts_numpy_integer_ns(self):
+        rows = convergence_demo(np.array([10, 100]), 0.5, COMMITTED_SEED)
+        assert [(r.N, r.f) for r in rows] == [(n, f) for n, f, *_ in per_n_convergence([10, 100], 0.5, COMMITTED_SEED)]
+        assert all(type(r.N) is int for r in rows)
 
     def test_rejects_negative_seed(self):
         with pytest.raises(DomainError):
             convergence_demo([10], 0.5, -1)
         with pytest.raises(DomainError):
             sample_observer_branch(10, 0.5, -1)
+
+    # before, 1.5 raised numpy's bare TypeError and True ran as seed 1
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "7", True, None])
+    def test_rejects_non_integer_seed(self, seed):
+        with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+            convergence_demo([10], 0.5, seed)
+        with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+            sample_observer_branch(10, 0.5, seed)
 
 
 @st.composite

@@ -407,7 +407,8 @@ def test_edge_value_exits_cleanly(tmp_path, capsys, experiment, name, value):
     ("decompose", ["hbar=1e154"], EXIT_GUARD, "FloatingPointError"),
     ("universes", ['boundary="dirichlet"', "dt=1.7e308"], EXIT_GUARD, "FloatingPointError"),
     ("evolve", ['potential="harmonic"', "omega=1.0", "mass=1.7e308"], EXIT_CONFIG, "mass=1.7e+308"),
-], ids=["decompose-hbar", "universes-dirichlet-dt", "evolve-harmonic-mass"])
+    ("evolve", ['boundary="dirichlet"', "hbar=1e-150", "dt=1e200"], EXIT_CONFIG, "dt=1e+200, hbar=1e-150"),
+], ids=["decompose-hbar", "universes-dirichlet-dt", "evolve-harmonic-mass", "evolve-dirichlet-dt-hbar"])
 def test_overflow_in_a_cli_process_exits_with_one_line(tmp_path, experiment, overrides, status, named):
     out = tmp_path / "out"
     argv = [sys.executable, "-m", "mvlab.cli", experiment, "--config", str(CONFIGS / f"{experiment}.json"),

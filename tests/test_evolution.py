@@ -338,13 +338,24 @@ class TestCrankNicolsonFailsClosed:
                         evolve_schrodinger(wf0, free_potential(g), PARAMS, dt, n_steps, stride)
                 assert len(taken) == row * stride < at + stride
 
-    # r = i*dt/(2*hbar) overflows, so the operator is not finite; dt*max|V|/hbar is 0
+    # r = i*dt/(2*hbar) overflows, so the operator is not finite; dt*max|V|/hbar is 0.
+    # It is refused where it is built, naming dt and hbar, before any step
     def test_non_finite_operator_refused(self):
         g = SpatialGrid(-8.0, 8.0, 64, "dirichlet")
         params = PhysicalParams(hbar=1e-150)
         wf0 = make_gaussian_packet(g, 0.0, 1.0, 0.0, params)
-        with pytest.raises(DomainError, match="not finite at t="):
+        with pytest.raises(DomainError, match=r"Crank-Nicolson operator .*dt=1e\+200, hbar=1e-150"):
+            evolution._crank_nicolson_stepper(g, free_potential(g), params, 1e200)
+        with np.errstate(all="raise"), pytest.raises(DomainError, match="Crank-Nicolson operator"):
             evolve_schrodinger(wf0, free_potential(g), params, 1e200, 10, 5)
+
+    # dt/(2*hbar) is finite, but its product with H's largest entry 2c + max V is not
+    @pytest.mark.parametrize("dt, hbar, V", [(1e308, 1.0, 0.0), (4.0, 1.0, 1e308)])
+    def test_operator_overflow_refused_where_built(self, dt, hbar, V):
+        g = SpatialGrid(-8.0, 8.0, 64, "dirichlet")
+        potential = PotentialField(g, np.full(g.n_points, V))
+        with np.errstate(all="raise"), pytest.raises(DomainError, match=re.escape(f"dt={dt}, hbar={hbar}")):
+            evolution._crank_nicolson_stepper(g, potential, PhysicalParams(hbar=hbar), dt)
 
     # gttrf reports a singular factor with info > 0, either routine a bad argument with info < 0
     @pytest.mark.parametrize("routine, info", [("gttrf", 3), ("gttrf", -2), ("gttrs", -6)])
