@@ -33,12 +33,12 @@ _DRAW_BLOCK = 2**16  # Philox draws per block of convergence_demo: bounds the dr
 
 
 def _checked(N: int, p) -> float:
-    """p as a float, once N >= 1 and p in [0, 1] hold; NaN and inf p are refused.
+    """p as a float, once N is an integer >= 1 and p in [0, 1] hold; NaN and inf p are refused.
 
     p is compared as given, so a Fraction p is checked exactly.
     """
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
+    if not (_is_int(N) and N >= 1):
+        raise DomainError(f"N must be an integer >= 1, got {_shown(N)}")
     if not (0 <= p <= 1):
         raise DomainError(f"p must lie in [0, 1], got {p}")
     return float(p)
@@ -258,11 +258,13 @@ def moment_scaling_report(m_max: int, N_values, p: float) -> MomentScalingReport
     """Check the 1/N decay bound for every moment order 2..m_max."""
     if m_max < 2:
         raise DomainError(f"m_max must be >= 2, got {m_max}")
-    ns = [int(n) for n in N_values]
+    ns = []
+    for n in N_values:
+        _checked(n, p)  # an integer >= 1, before any comparison
+        ns.append(int(n))
     if len(ns) < 2 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise DomainError("N_values must be an increasing sequence of length >= 2")
-    p = _checked(ns[0], p)
-    moments = {n: _central_moments(m_max, n, Fraction(p)) for n in ns}
+    moments = {n: _central_moments(m_max, n, Fraction(float(p))) for n in ns}
     entries = []
     for m in range(2, m_max + 1):
         c_m = abs(moments[ns[0]][m]) * ns[0]

@@ -6,8 +6,8 @@ whose FFTs run in place in one preallocated buffer through scipy's compiled
 pocketfft, bit for bit numpy's np.fft.fft and np.fft.ifft. Dirichlet grids use
 Crank-Nicolson: its constant tridiagonal matrix is LU-factored once per
 evolution by LAPACK gttrf and each step is one gttrs solve. Each integrator
-loads the one scipy extension module it needs on its own, after only the
-top-level `import scipy`; no run imports scipy.fft or scipy.linalg, and
+loads the one scipy extension module it needs on its own, from scipy's
+directory: no run imports the scipy package, scipy.fft or scipy.linalg, and
 importing mvlab loads no scipy at all. The trajectory flows, Bohmian and
 classical, live in mvlab.universes, which this module does not import.
 An EvolutionRecord holds its snapshots as one (T, n) array, validated once, and
@@ -154,18 +154,18 @@ def _scipy_extension(name: str):
 
     Importing it the usual way runs its packages' __init__ files: scipy.linalg
     or scipy.fft costs about 0.3 s and 25-27 MiB (scipy's array-API layer, and
-    numpy.f2py for linalg). So the extension is found in its directory under
-    scipy and executed on its own, after only the top-level `import scipy`, and
-    is registered in sys.modules under its full name: a later import of its
-    package reuses it, so scipy's own wrappers call these same functions.
+    numpy.f2py for linalg), scipy's own about 14 ms. So the extension is found in
+    its directory under scipy's, which find_spec locates without importing it,
+    and executed on its own, and is registered in sys.modules under its full
+    name: a later import of its package reuses it, so scipy's own wrappers call
+    these same functions.
     """
     module = sys.modules.get(name)
     if module is None:
-        import scipy
-
+        root = importlib.util.find_spec("scipy")
         package = name.split(".")[1:-1]
-        spec = importlib.machinery.PathFinder.find_spec(
-            name, [os.path.join(scipy.__path__[0], *package)]
+        spec = root and importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(os.path.dirname(root.origin), *package)]
         )
         if spec is None:
             raise ImportError(f"cannot find the extension module {name}", name=name)
@@ -200,13 +200,13 @@ def _fft_in_place(buf):
 
 def _split_step_stepper(grid, V, params, dt):
     k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
-    # the largest phase, in Python floats (they overflow to inf without a numpy warning)
-    # and in the order the kinetic array below takes
+    # the largest phase, in Python floats (they overflow to inf without a numpy warning) and in
+    # the kinetic array's order; from 2**52 rad on, doubles lie 1 rad or more apart
     k_max = float(np.max(np.abs(k)))
-    if not math.isfinite(params.hbar * (k_max * k_max) * dt / (2.0 * params.mass)):
+    if not params.hbar * (k_max * k_max) * dt / (2.0 * params.mass) < 2.0**52:  # inf and NaN fail too
         raise DomainError(
-            f"the kinetic phase hbar*k_max**2*dt/(2*mass) is not finite (hbar={params.hbar}, "
-            f"dt={dt}, mass={params.mass}, dx={grid.dx})"
+            f"the kinetic phase hbar*k_max**2*dt/(2*mass) must be finite and below 2**52 rad "
+            f"(hbar={params.hbar}, dt={dt}, mass={params.mass}, dx={grid.dx})"
         )
     kinetic = np.exp(-1j * params.hbar * k**2 * dt / (2.0 * params.mass))
     half_kick = np.exp(-1j * V.values * dt / (2.0 * params.hbar))

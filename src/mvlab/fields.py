@@ -224,28 +224,23 @@ def laplacian(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
 
 
 def grid_offset(grid: SpatialGrid, pos):
-    """pos - x_min, wrapped into [0, length) on a periodic grid: the one wrap of a position."""
-    return np.mod(pos - grid.x_min, grid.length) if grid.boundary == "periodic" else pos - grid.x_min
+    """pos - x_min, wrapped into [0, length) on a periodic grid: the one wrap of a position.
+
+    np.mod keeps an offset in [0, length) bit for bit, so it runs only once one is outside.
+    """
+    offset = pos - grid.x_min
+    if grid.boundary == "periodic" and not (offset.min() >= 0.0 and offset.max() < grid.length):
+        offset = np.mod(offset, grid.length)
+    return offset
 
 
 def interpolator(grid: SpatialGrid, values):
-    """Linear interpolant of grid samples in position; periodic grids wrap the position.
-
-    A (k, n) stack along the last axis gives a list of k rows per call, from
-    one wrap of the positions; each row equals its own (n,) interpolant's.
-    interp(pos, offset) takes a caller's offset = grid_offset(grid, pos) in
-    place of wrapping pos again.
-    """
-    x, vs, periodic = grid.points, np.asarray(values), grid.boundary == "periodic"
-    if periodic:
-        x, vs = np.append(x, grid.x_max), np.concatenate((vs, vs[..., :1]), axis=-1)
-
-    def interp(pos, offset=None):
-        if periodic:
-            pos = grid.x_min + (grid_offset(grid, pos) if offset is None else offset)
-        return np.interp(pos, x, vs) if vs.ndim == 1 else [np.interp(pos, x, row) for row in vs]
-
-    return interp
+    """Linear interpolant of (n,) grid samples in position; periodic grids wrap the position."""
+    x, vs = grid.points, np.asarray(values)
+    if grid.boundary != "periodic":
+        return lambda pos: np.interp(pos, x, vs)
+    x, vs = np.append(x, grid.x_max), np.append(vs, vs[0])
+    return lambda pos: np.interp(grid.x_min + grid_offset(grid, pos), x, vs)
 
 
 def _csv_text(column):

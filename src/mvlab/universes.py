@@ -8,8 +8,8 @@ Both flows record (T, M) positions and share one start rule (_starts), one RK4
 stage (_rk4) and one stop rule, a NaN stop time meaning never: integrate_universes
 steps x once per snapshot interval, classical_ensemble_evolve the stacked (x, v).
 integrate_universes decomposes a record VELOCITY_BLOCK snapshots at a time, each
-snapshot once, and derives the velocity of each block: no (T, n) polar stack or
-velocity is held.
+snapshot once, and derives each block's velocity rows and cell-edge zones: no (T, n)
+polar stack or velocity is held; an interval costs little beyond its 8 np.interp calls.
 """
 
 from __future__ import annotations
@@ -94,12 +94,6 @@ def velocity_field(polar: PolarField, params: PhysicalParams) -> np.ndarray:
     return np.where(node_zone(polar.node_mask, polar.grid), np.nan, v)
 
 
-def _in_zone(grid: SpatialGrid, zone: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    """Whether either end of the grid cell at each offset (grid_offset of a position) lies in zone."""
-    either_end = zone | np.append(zone[1:], zone[0] if grid.boundary == "periodic" else zone[-1])
-    return either_end[np.clip(np.floor(offset / grid.dx).astype(int), 0, grid.n_points - 1)]
-
-
 def _reals(values) -> np.ndarray | None:
     """values as a new float64 array, or None if the entries are ragged, strings, complex or
     otherwise not real, or ints past float range: numpy alone reads "1.0" as 1.0."""
@@ -147,43 +141,50 @@ def integrate_universes(
     """
     grid = record.grid
     x = _starts(grid, initial_positions)
+    periodic = grid.boundary == "periodic"
+    abscissa = np.append(grid.points, grid.x_max) if periodic else grid.points
 
-    def flows():  # per snapshot: the velocity, zero on the node zone, and the zone
+    def flows():  # per snapshot: the velocity, 0 on the node zone and closed like the abscissa,
+        # and the cell-edge zone (either end of a cell in the node zone)
         for b in range(0, len(record.times), VELOCITY_BLOCK):
             v = velocity_field(decompose(record, params, node_epsilon, slice(b, b + VELOCITY_BLOCK)), params)
             zone = np.isnan(v)
-            yield from zip(np.where(zone, 0.0, v), zone)
+            v[zone] = 0.0
+            ends = zone | np.concatenate((zone[:, 1:], zone[:, :1] if periodic else zone[:, -1:]), axis=1)
+            yield from zip(np.concatenate((v, v[:, :1]), axis=1) if periodic else v, ends)
+
+    def cells(offset):  # the grid cell at each grid_offset
+        return np.clip(np.floor(offset / grid.dx).astype(int), 0, grid.n_points - 1)
 
     rows = flows()
-    v1, zone1 = next(rows)
+    v1, ends1 = next(rows)
     offset = grid_offset(grid, x)  # each position is wrapped once, for its zone check and next stage
-    if np.any(_in_zone(grid, zone1, offset)):
+    if np.any(ends1[cells(offset)]):
         raise DomainError("initial positions must avoid node neighborhoods of the first snapshot")
 
-    times = record.times
+    times = record.times.tolist()
     positions = np.empty((len(times), x.size))
     positions[0] = x
     stopped_at = np.full(x.size, np.nan)
 
     for s in range(len(times) - 1):
-        t0, t1 = times[s], times[s + 1]
-        v0, zone0 = v1, zone1
-        v1, zone1 = next(rows)
-        interp = interpolator(grid, (v0, v1))
-        h = t1 - t0
+        t0, h = times[s], times[s + 1] - times[s]
+        v0, ends0 = v1, ends1
+        v1, ends1 = next(rows)
 
-        def vel(pos, t, offset=None):
-            w = (t - t0) / h
-            at0, at1 = interp(pos, offset)
-            return (1.0 - w) * at0 + w * at1
+        def vel(pos, t, offset=None):  # the two rows at pos, blended in time in place
+            if periodic:
+                pos = grid.x_min + (grid_offset(grid, pos) if offset is None else offset)
+            w, at0, at1 = (t - t0) / h, np.interp(pos, abscissa, v0), np.interp(pos, abscissa, v1)
+            return np.add(np.multiply(at0, 1.0 - w, out=at0), np.multiply(at1, w, out=at1), out=at0)
 
         live = np.isnan(stopped_at)
         x = np.where(live, _rk4(vel, x, t0, h, vel(x, t0, offset)), x)
         offset = grid_offset(grid, x)
-        stopped_at[live & _in_zone(grid, zone0 | zone1, offset)] = t0 + h
+        stopped_at[live & (ends0 | ends1)[cells(offset)]] = t0 + h
         positions[s + 1] = x
 
-    return TrajectoryEnsemble(times.copy(), positions, "bohmian", stopped_at)
+    return TrajectoryEnsemble(record.times.copy(), positions, "bohmian", stopped_at)
 
 
 def classical_ensemble_evolve(
@@ -344,13 +345,14 @@ def trajectories_to_csv(ensemble: TrajectoryEnsemble, path) -> None:
     """Write columns t,trajectory_id,x,kind,flags with LF line endings.
 
     flags is the kind's word in KINDS from stopped_at on, else empty (a NaN
-    stop time never fires).
+    stop time never fires); blocks with none stopped share one empty column.
     """
     kind, word = [ensemble.kind] * ensemble.n_trajectories, KINDS[ensemble.kind]
+    unflagged = [""] * ensemble.n_trajectories
 
     def columns(s):
-        flags = np.where(ensemble.stopped_at <= ensemble.times[s], word, "").tolist()
-        return ensemble.positions[s], kind, flags
+        stopped = ensemble.stopped_at <= ensemble.times[s]
+        return ensemble.positions[s], kind, np.where(stopped, word, "").tolist() if stopped.any() else unflagged
 
     write_snapshot_csv(path, "t,trajectory_id,x,kind,flags", ensemble.times, np.arange(len(kind)), columns)
 

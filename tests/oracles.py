@@ -244,18 +244,29 @@ def per_snapshot_universes(record, starts, params, node_epsilon):
     The loop that mvlab.universes' blocked velocity replaced: every snapshot
     is decomposed on its own, its velocity derived from one (n,) row, each
     RK4 stage reads two single-row interpolants, each of which wraps the
-    positions itself, and the node zone is looked up at both ends of a cell.
+    positions itself with np.mod on a periodic grid, whether or not one has
+    left it, and the node zone is looked up at both ends of a cell.
     """
-    from mvlab.fields import interpolator
     from mvlab.madelung import decompose
     from mvlab.universes import velocity_field
 
     grid = record.grid
     n = grid.n_points
+    periodic = grid.boundary == "periodic"
+    xp = np.append(grid.points, grid.x_max) if periodic else grid.points
+
+    def interpolant(values):
+        fp = np.append(values, values[0]) if periodic else values
+
+        def interp(pos):
+            at = grid.x_min + np.mod(pos - grid.x_min, grid.length) if periodic else pos
+            return np.interp(at, xp, fp)
+
+        return interp
 
     def zone_lookup(zone):
         def in_zone(pos):
-            if grid.boundary == "periodic":
+            if periodic:
                 idx = np.floor((np.mod(pos - grid.x_min, grid.length)) / grid.dx).astype(int)
                 idx = np.clip(idx, 0, n - 1)
                 nxt = (idx + 1) % n
@@ -269,7 +280,7 @@ def per_snapshot_universes(record, starts, params, node_epsilon):
     def flow(row):
         v = velocity_field(decompose(GridWavefunction(grid, row), params, node_epsilon), params)
         zone = np.isnan(v)
-        return interpolator(grid, np.where(zone, 0.0, v)), zone
+        return interpolant(np.where(zone, 0.0, v)), zone
 
     x = np.array(starts, dtype=np.float64)
     times = record.times

@@ -97,7 +97,16 @@ class TestBranchTree:
     (lambda: enumerate_branch_tree(3, 0.5).frequency_central_moment(-1), "moment order must be nonnegative"),
     (lambda: central_moment_exact(-1, 10, 0.5), "moment order must be nonnegative"),
     (lambda: moment_scaling_report(1, [10, 20], 0.5), "m_max must be >= 2"),
-], ids=["weight-sum", "r-above-N", "r-negative", "tree-moment-order", "exact-moment-order", "m-max"])
+    # N is an integer >= 1: before, the report ran N=10.9 as 10, the moment was a number at
+    # N=10.5, and the other three raised a bare TypeError
+    (lambda: moment_scaling_report(4, [10.9, 20], 0.25), "N must be an integer >= 1, got 10.9"),
+    (lambda: central_moment(2, 10.5, 0.5), "N must be an integer >= 1, got 10.5"),
+    (lambda: enumerate_branch_tree(3.5, 0.5), "N must be an integer >= 1, got 3.5"),
+    (lambda: prob_r_given_N(2, 4.5, 0.5), "N must be an integer >= 1, got 4.5"),
+    (lambda: sample_observer_branch(10.5, 0.5, COMMITTED_SEED), "N must be an integer >= 1, got 10.5"),
+], ids=["weight-sum", "r-above-N", "r-negative", "tree-moment-order", "exact-moment-order", "m-max",
+        "report-fractional-N", "moment-fractional-N", "tree-fractional-N", "prob-fractional-N",
+        "sample-fractional-N"])
 def test_out_of_range_argument_refused(call, message):
     with pytest.raises(DomainError, match=message):
         call()

@@ -285,10 +285,11 @@ class TestGuards:
         assert message in err and len(err.strip().splitlines()) == 1  # no numpy warnings
         assert not out.exists()
 
-    # each value is finite and in range, but hbar*k_max**2*dt/(2*mass) overflows, or
-    # 2*mass*dx**2 underflows to 0
+    # each value is finite and in range, but hbar*k_max**2*dt/(2*mass) overflows or reaches
+    # 2**52 rad, or 2*mass*dx**2 underflows to 0
     @pytest.mark.parametrize("experiment, overrides, names", [
         ("evolve", ["mass=1e-310"], ["kinetic phase", "hbar=", "dt=", "mass=1e-310"]),
+        ("evolve", ["hbar=1e-150", "dt=1e200"], ["kinetic phase", "2**52 rad", "hbar=1e-150", "dt=1e+200"]),
         ("evolve", ["mass=5e-324"], ["kinetic phase", "hbar=", "dt=", "mass=5e-324"]),
         ("universes", ["mass=5e-324"], ["kinetic phase", "hbar=", "dt=", "mass=5e-324"]),
         ("evolve", ["x_min=-1e-160", "x_max=1e-160"], ["kinetic phase", "dx=7.8125e-163"]),
@@ -297,8 +298,8 @@ class TestGuards:
          ["Crank-Nicolson coupling", "dx=7.8125e-163"]),
         ("caustic", ["focus_time=1e-310"], ["'span'", "'focus_time'", "'t_total'"]),
         ("caustic", ["focus_time=1e-307"], ["'span'", "'focus_time'", "'t_total'"]),
-    ], ids=["evolve-1e-310", "evolve-5e-324", "universes-5e-324", "evolve-narrow-grid",
-            "dirichlet-5e-324", "dirichlet-narrow-grid", "caustic-focus-1e-310",
+    ], ids=["evolve-1e-310", "evolve-phase-past-2**52", "evolve-5e-324", "universes-5e-324",
+            "evolve-narrow-grid", "dirichlet-5e-324", "dirichlet-narrow-grid", "caustic-focus-1e-310",
             "caustic-focus-1e-307"])
     def test_unresolvable_step_exits_2(self, tmp_path, capsys, experiment, overrides, names):
         out = tmp_path / "out"
@@ -786,12 +787,21 @@ class TestStartupImports:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["versions"]["scipy"] == scipy.__version__
 
+    # evolve, dirichlet evolve and universes find their extension under scipy's directory
+    # without importing the scipy package
     def test_periodic_evolve_leaves_out_scipy_linalg(self, tmp_path):
         status, modules = imported_modules(tmp_path, "-m", "mvlab.cli", "evolve", "--config",
                                            str(CONFIGS / "evolve.json"), "--out-dir", "out", "--quiet")
         assert status == EXIT_OK
         assert (tmp_path / "out" / "evolution.csv").exists()
-        assert "scipy.linalg" not in modules
+        assert not {"scipy", "scipy.linalg"} & modules
+
+    def test_universes_leaves_out_scipy(self, tmp_path):
+        status, modules = imported_modules(tmp_path, "-m", "mvlab.cli", "universes", "--config",
+                                           str(CONFIGS / "universes.json"), "--out-dir", "out", "--quiet")
+        assert status == EXIT_OK
+        assert (tmp_path / "out" / "trajectories.csv").exists()
+        assert not {"scipy", "scipy.linalg"} & modules
 
     def test_dirichlet_evolve_loads_it_and_reproduces(self, tmp_path):
         for label in ("run1", "run2"):
@@ -800,7 +810,7 @@ class TestStartupImports:
                 "--set", "boundary=dirichlet", "--out-dir", label, "--quiet",
             )
             assert status == EXIT_OK
-            assert "scipy.linalg" not in modules
+            assert not {"scipy", "scipy.linalg"} & modules
         runs = [tmp_path / label for label in ("run1", "run2")]
         assert (runs[0] / "evolution.csv").read_bytes() == (runs[1] / "evolution.csv").read_bytes()
         assert manifest_core(runs[0] / "manifest.json") == manifest_core(runs[1] / "manifest.json")

@@ -426,7 +426,7 @@ STANDALONE_POCKETFFT = textwrap.dedent("""
     evolve_schrodinger(make_gaussian_packet(g, -1.0, 1.0, 2.0, params), free_potential(g), params, 1e-3, 5)
     name = "scipy.fft._pocketfft.pypocketfft"
     loaded = sys.modules[name]
-    assert "scipy.fft" not in sys.modules and "scipy.linalg" not in sys.modules
+    assert "scipy" not in sys.modules and "scipy.fft" not in sys.modules and "scipy.linalg" not in sys.modules
 
     import scipy.fft
 
@@ -447,7 +447,7 @@ class TestStandaloneExtensions:
     ], ids=["flapack", "pocketfft"])
     def test_missing_extension_raises_import_error(self, monkeypatch, module, load):
         monkeypatch.delitem(sys.modules, module, raising=False)
-        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", lambda name, path: None)
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", lambda name, path, target=None: None)
         with pytest.raises(ImportError, match=re.escape(module)):
             load()
 
@@ -491,6 +491,20 @@ class TestGuards:
         wf0 = make_gaussian_packet(g, 0.0, 1.0, 0.0, PARAMS)
         with pytest.raises(DomainError, match=message):
             evolve_schrodinger(wf0, free_potential(g), PhysicalParams(mass=mass), 1e-3, 10)
+
+    # finite, but from 2**52 rad on adjacent doubles lie 1 rad or more apart: hbar = mass = 1
+    # and the largest |k| is pi/dx, so the phase is (pi/dx)**2*dt/2
+    @pytest.mark.parametrize("scale, refused", [(1.0 + 1e-12, True), (1.0 - 1e-12, False)])
+    def test_kinetic_phase_from_2_52_rad_refused(self, scale, refused):
+        g = SpatialGrid(-16.0, 16.0, 256)
+        wf0 = make_gaussian_packet(g, 0.0, 1.0, 0.0, PARAMS)
+        dt = 2.0**53 / (np.pi / g.dx) ** 2 * scale
+        if refused:
+            message = rf"kinetic phase .*below 2\*\*52 rad .*hbar=1\.0, dt={dt}, mass=1\.0"
+            with pytest.raises(DomainError, match=message):
+                evolve_schrodinger(wf0, free_potential(g), PARAMS, dt, 2)
+        else:
+            assert len(evolve_schrodinger(wf0, free_potential(g), PARAMS, dt, 2).times) == 3
 
     def test_default_stride_caps_snapshots(self):
         g = SpatialGrid(-16.0, 16.0, 64)

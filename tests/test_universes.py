@@ -18,7 +18,7 @@ from oracles import (
 )
 
 from mvlab.errors import DomainError
-from mvlab.evolution import evolve_schrodinger
+from mvlab.evolution import EvolutionRecord, evolve_schrodinger
 from mvlab.fields import (
     GridWavefunction,
     PhysicalParams,
@@ -30,7 +30,7 @@ from mvlab.fields import (
     normalize,
 )
 import mvlab.universes
-from mvlab.madelung import decompose
+from mvlab.madelung import DEFAULT_NODE_EPSILON, MASK_DILATION, decompose
 from mvlab.universes import (
     VELOCITY_BLOCK,
     TrajectoryEnsemble,
@@ -212,6 +212,40 @@ class TestOnePass:
         positions, stopped_at = per_snapshot_universes(rec, starts, PARAMS, node_epsilon)
         assert ens.positions.tobytes() == positions.tobytes()
         assert ens.stopped_at.tobytes() == stopped_at.tobytes()
+
+    # a wide packet moving right at k0 = 2*pi*4/L (four windings, no phase jump at the seam):
+    # its trajectories near x_max cross the periodic seam, and a start exactly at x_max wraps
+    # at the first stage; both take grid_offset's np.mod
+    @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+    def test_seam_crossings_and_a_start_at_x_max_equal_the_per_snapshot_loop(self, boundary):
+        g = SpatialGrid(-10.0, 10.0, 256, boundary)
+        wf0 = make_gaussian_packet(g, 0.0, 4.0, 2.0 * np.pi * 4 / g.length, PARAMS)
+        rec = evolve_schrodinger(wf0, free_potential(g), PARAMS, 1e-3, 2000, snapshot_stride=50)
+        starts = np.append(np.linspace(6.0, 9.5, 21), g.x_max)
+        ens = integrate_universes(rec, starts, PARAMS)
+        positions, stopped_at = per_snapshot_universes(rec, starts, PARAMS, DEFAULT_NODE_EPSILON)
+        assert ens.positions.tobytes() == positions.tobytes()
+        assert ens.stopped_at.tobytes() == stopped_at.tobytes()
+        if boundary == "periodic":  # positions are recorded unwrapped: these crossed the seam
+            assert (ens.positions[-1] > g.x_max).sum() > 10
+
+    # a static plane wave moving right, with a node mask whose widened zone starts at point 0:
+    # the last cell, between x_max - dx and x_max, has its right end on point 0 across the seam,
+    # so a start in it is refused and a trajectory entering it is frozen there
+    def test_the_cell_before_the_periodic_seam_reaches_its_zone(self):
+        g = SpatialGrid(-8.0, 8.0, 64)
+        profile = np.ones(g.n_points)
+        profile[MASK_DILATION : MASK_DILATION + 2] = 0.0  # the zone is points 0 .. 2*MASK_DILATION + 1
+        wf = normalize(GridWavefunction(g, profile * np.exp(1j * (2.0 * np.pi * 2 / g.length) * g.points)))
+        rec = EvolutionRecord(free_potential(g), 0.05 * np.arange(11), np.tile(wf.amplitudes, (11, 1)))
+        with pytest.raises(DomainError, match="avoid node neighborhoods"):
+            integrate_universes(rec, [g.x_max - 0.5 * g.dx], PARAMS)
+        starts = [g.x_max - 1.2 * g.dx, 0.0]
+        ens = integrate_universes(rec, starts, PARAMS)
+        positions, stopped_at = per_snapshot_universes(rec, starts, PARAMS, DEFAULT_NODE_EPSILON)
+        assert ens.positions.tobytes() == positions.tobytes()
+        assert ens.stopped_at.tobytes() == stopped_at.tobytes()
+        assert g.x_max - g.dx <= ens.positions[-1, 0] < g.x_max and np.isfinite(ens.stopped_at[0])
 
     @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
     def test_peak_memory_is_the_positions_and_a_few_blocks(self, boundary):
